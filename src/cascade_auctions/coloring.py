@@ -9,6 +9,12 @@ overshoots; it matches the optimum whenever the coloring happens to give
 the K ads of an optimal allocation distinct colors.  Repeating R
 independent passes misses with probability at most (1 - e^-K)^R, about 1/2
 at the default R = ceil(e^K * ln 2).
+
+One numpy kernel runs the DP for a whole batch of colorings at once, with
+the 2^K color subsets on the first axis of its memo table.  No choice table
+is kept: the winning allocation is replayed from the winning pass's memo
+column, taking at each state the first ad whose value reproduces the memo
+entry exactly.  colored_pass is the same kernel on a batch of one.
 """
 from __future__ import annotations
 
@@ -21,13 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import Allocation, AuctionError, AuctionInstance
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 __all__ = [
     "Coloring",
@@ -230,12 +229,9 @@ def draw_colorings(
 
 
 @lru_cache(maxsize=None)
-def _subset_order(num_colors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonempty color subsets in increasing-size order, with their sizes."""
-    subsets = sorted(range(1, 1 << num_colors), key=lambda s: s.bit_count())
-    order = np.array(subsets, dtype=np.int64)
-    sizes = np.array([s.bit_count() for s in subsets], dtype=np.int64)
-    return order, sizes
+def _subset_order(num_colors: int) -> tuple[int, ...]:
+    """Nonempty color subsets in increasing-size order."""
+    return tuple(sorted(range(1, 1 << num_colors), key=int.bit_count))
 
 
 def _lam_by_size(instance: AuctionInstance) -> np.ndarray:
@@ -262,6 +258,56 @@ def _check_coloring(instance: AuctionInstance, coloring: Sequence[int]) -> np.nd
     return arr
 
 
+def _pass_memo(instance: AuctionInstance, colorings: np.ndarray) -> np.ndarray:
+    """Subset DP of every coloring row at once.
+
+    ``memo[s, r]`` is the best welfare of the last |s| slots using one ad
+    per color of s under coloring row r.  States run in increasing-size
+    order, so ``memo[s ^ bit]`` is final when state s reads it.  Each
+    candidate is ``wv + (c * lambda) * prev`` in that order of operations
+    and the max over ads is exact, so a pass's column is the same, bit for
+    bit, whatever batch it runs in; _backtrack relies on recomputing it.
+    """
+    wv, cont = instance.arrays()
+    wv = wv[:, None]
+    cont = cont[:, None]
+    bits = np.left_shift(np.int64(1), colorings.T - 1)  # (n, rows)
+    rows = bits.shape[1]
+    lam_by_size = _lam_by_size(instance)
+    # zeros, not empty: inactive candidates read the unfilled state s | bit
+    memo = np.zeros((1 << instance.num_slots, rows))
+    flat = memo.reshape(-1)
+    col = np.arange(rows)
+    for s in _subset_order(instance.num_slots):
+        prev = flat.take((s ^ bits) * rows + col)
+        cand = wv + (cont * lam_by_size[s.bit_count()]) * prev
+        memo[s] = np.where(bits & s, cand, -math.inf).max(axis=0)
+    return memo
+
+
+def _backtrack(
+    instance: AuctionInstance, colors: np.ndarray, memo_column: np.ndarray
+) -> Allocation:
+    """Replays one pass's memo from the full state down to the empty one.
+
+    Each slot goes to the lowest-index active ad whose recomputed
+    candidate equals the memo entry exactly, the ad a strict ``>`` scan
+    over ads in index order keeps.
+    """
+    wv, cont = instance.arrays()
+    bits = np.left_shift(np.int64(1), colors - 1)
+    lam_by_size = _lam_by_size(instance)
+    slots = []
+    state = (1 << instance.num_slots) - 1
+    while state:
+        cand = wv + (cont * lam_by_size[state.bit_count()]) * memo_column[state ^ bits]
+        hits = ((bits & state) != 0) & (cand == memo_column[state])
+        a = int(np.flatnonzero(hits)[0])
+        slots.append(instance.ads[a].id)
+        state ^= int(bits[a])
+    return Allocation(tuple(slots))
+
+
 def colored_pass(instance: AuctionInstance, coloring: Sequence[int]) -> ColorPassResult:
     """Best full allocation whose ads carry pairwise distinct colors.
 
@@ -270,100 +316,12 @@ def colored_pass(instance: AuctionInstance, coloring: Sequence[int]) -> ColorPas
     because the coloring is surjective.
     """
     colors = _check_coloring(instance, coloring)
-    k = instance.num_slots
-    n = instance.num_ads
-    wv, cont = instance.arrays()
-    bits = np.left_shift(1, colors - 1)
-    lam_by_size = _lam_by_size(instance)
-    order, sizes = _subset_order(k)
-
-    memo = np.zeros(1 << k, dtype=float)
-    choice = np.full(1 << k, -1, dtype=np.int64)
-    for s, t in zip(order.tolist(), sizes.tolist()):
-        lam_t = lam_by_size[t]
-        best = -math.inf
-        best_a = -1
-        for a in range(n):
-            bit = int(bits[a])
-            if s & bit:
-                prev = memo[s ^ bit]
-                val = wv[a] + (cont[a] * lam_t) * prev
-                if val > best:
-                    best = val
-                    best_a = a
-        memo[s] = best
-        choice[s] = best_a
-
-    slots = []
-    state = (1 << k) - 1
-    while state:
-        a = int(choice[state])
-        slots.append(instance.ads[a].id)
-        state ^= int(bits[a])
-    alloc = Allocation(tuple(slots))
-    return ColorPassResult(value=float(memo[-1]), alloc=alloc, coloring=tuple(int(c) for c in colors))
-
-
-def _pass_values_loops(wv, cont, colorbits, lam_by_size, order, sizes, out):
-    """Batch DP over passes; must mirror colored_pass op for op."""
-    rows, n = colorbits.shape
-    num_states = len(order) + 1
-    for r in range(rows):
-        memo = np.zeros(num_states, dtype=np.float64)
-        for idx in range(len(order)):
-            s = order[idx]
-            lam_t = lam_by_size[sizes[idx]]
-            best = -np.inf
-            for a in range(n):
-                bit = colorbits[r, a]
-                if s & bit:
-                    prev = memo[s ^ bit]
-                    val = wv[a] + (cont[a] * lam_t) * prev
-                    if val > best:
-                        best = val
-            memo[s] = best
-        out[r] = memo[num_states - 1]
-
-
-if _HAVE_NUMBA:
-    _pass_values_compiled = njit(cache=True)(_pass_values_loops)
-else:  # pragma: no cover
-    _pass_values_compiled = None
-
-
-def _pass_values_numpy(wv, cont, colorbits, lam_by_size, order, sizes, out):
-    """Vectorized fallback; elementwise ops in the same order as the loops."""
-    rows, n = colorbits.shape
-    num_states = len(order) + 1
-    memo = np.full((rows, num_states), -math.inf, dtype=np.float64)
-    memo[:, 0] = 0.0
-    row_ix = np.arange(rows)
-    with np.errstate(invalid="ignore"):
-        for idx in range(len(order)):
-            s = int(order[idx])
-            lam_t = lam_by_size[sizes[idx]]
-            best = np.full(rows, -math.inf)
-            for a in range(n):
-                bit = colorbits[:, a]
-                active = (bit & s) != 0
-                prev = memo[row_ix, s ^ bit]
-                val = wv[a] + (cont[a] * lam_t) * prev
-                np.copyto(best, np.maximum(best, val), where=active)
-            memo[:, s] = best
-    out[:] = memo[:, num_states - 1]
-
-
-def _batch_pass_values(instance: AuctionInstance, colorings: np.ndarray) -> np.ndarray:
-    wv, cont = instance.arrays()
-    bits = np.left_shift(np.int64(1), colorings - 1)
-    lam_by_size = _lam_by_size(instance)
-    order, sizes = _subset_order(instance.num_slots)
-    out = np.empty(len(colorings), dtype=np.float64)
-    if _pass_values_compiled is not None:
-        _pass_values_compiled(wv, cont, bits, lam_by_size, order, sizes, out)
-    else:  # pragma: no cover
-        _pass_values_numpy(wv, cont, bits, lam_by_size, order, sizes, out)
-    return out
+    memo = _pass_memo(instance, colors[None, :])[:, 0]
+    return ColorPassResult(
+        value=float(memo[-1]),
+        alloc=_backtrack(instance, colors, memo),
+        coloring=tuple(int(c) for c in colors),
+    )
 
 
 def colored_ads(
@@ -391,7 +349,6 @@ def colored_ads(
     n = instance.num_ads
     k = instance.num_slots
     best_value = -math.inf
-    best_index = -1
     started = time.perf_counter()
     done = 0
     while done < iterations:
@@ -401,21 +358,19 @@ def colored_ads(
         rng = np.random.default_rng((seed, done // chunk))
         block = draw_colorings(n, k, chunk, rng)
         take = min(chunk, iterations - done)
-        values = _batch_pass_values(instance, block[:take])
-        j = int(np.argmax(values))
-        if values[j] > best_value:
-            best_value = float(values[j])
+        memo = _pass_memo(instance, block[:take])
+        j = int(np.argmax(memo[-1]))
+        if memo[-1, j] > best_value:
+            best_value = float(memo[-1, j])
             best_index = done + j
+            best_colors = block[j].copy()
+            best_memo = memo[:, j].copy()
         done += take
 
-    rng = np.random.default_rng((seed, best_index // chunk))
-    block = draw_colorings(n, k, chunk, rng)
-    winner = block[best_index % chunk]
-    result = colored_pass(instance, winner)
     return ColoredResult(
-        value=result.value,
-        alloc=result.alloc,
-        coloring=result.coloring,
+        value=best_value,
+        alloc=_backtrack(instance, best_colors, best_memo),
+        coloring=tuple(int(c) for c in best_colors),
         iteration=best_index,
         iterations_run=done,
     )

@@ -41,8 +41,6 @@ __all__ = [
     "prune_instance",
 ]
 
-_FFT_MIN_SLOTS = 64  # direct summation is cheaper below this
-
 
 class DominanceTieError(AuctionError):
     """A corner ordering has a tie; the rank-based counter is not applicable."""
@@ -152,28 +150,13 @@ def decouple_bounds(instance: AuctionInstance) -> np.ndarray:
     Bounds each term of the welfare sum separately: the i-th allocated ad
     is worth at most the i-th largest weighted value, discounted by the
     i-1 largest continuations and the slot factors below slot k.  Direct
-    O(K^2) summation; the equivalent FFT convolution is used for large K
-    when no prefix of slot factors vanishes.
+    O(K^2) summation.
     """
     k = instance.num_slots
     wv, cont = instance.arrays()
     vs = np.sort(wv)[::-1][:k]
     cs = np.sort(cont)[::-1][:k]
     lam = np.array(instance.ladder.effective_factors, dtype=float)
-
-    if k > _FFT_MIN_SLOTS:
-        prom = np.concatenate(([1.0], np.cumprod(lam[: k - 1])))  # (K,)
-        # dividing by a prominence near the FFT noise floor would corrupt
-        # the result, so the fast path only covers tame dynamic ranges
-        if prom[-1] >= 1e-4:
-            from scipy.signal import fftconvolve
-
-            a = vs * np.concatenate(([1.0], np.cumprod(cs[: k - 1])))
-            conv = fftconvolve(a, prom[::-1])
-            # conv[K - j] = prom[j - 1] * UB(j) for j = 1..K (1-based j);
-            # inflate a hair so roundoff cannot break the upper-bound side
-            return conv[:k][::-1] / prom * (1.0 + 1e-7)
-
     out = np.empty(k, dtype=float)
     for start in range(1, k + 1):  # start = slot index k in the formula
         total = vs[0]
@@ -418,7 +401,7 @@ def prune_instance(
         if not drop or iterations >= instance.num_ads:
             break
         discarded.extend(drop)
-        keep = [ad.id for ad in current.ads if ad.id not in set(drop)]
+        keep = [ad.id for ad in current.ads if counts[ad.id] < threshold]
         current = current.restricted_to(keep)
 
     report = DominanceReport(

@@ -167,23 +167,23 @@ def multi_order_approx(
     if order_count < 0:
         raise NoOrdersError("order_count must be >= 0")
 
-    id_to_idx = {aid: i for i, aid in enumerate(instance.ids)}
-    orders: list[AdOrder] = []
+    # index-native orders: permutation(n) applies the same shuffle as
+    # permutation(ids), so the random orders match random_order's
     n = instance.num_ads
-    ids_arr = np.array(instance.ids, dtype=np.int64)
-    for t in range(order_count):
-        rng = np.random.default_rng((seed, t))
-        orders.append(tuple(int(x) for x in rng.permutation(ids_arr)))
-    for extra in extra_orders:
+    rows = [np.random.default_rng((seed, t)).permutation(n) for t in range(order_count)]
+    named = list(extra_orders)
+    for extra in named:
         _check_order(instance, extra)
-        orders.append(tuple(extra))
     if include_natural:
-        orders.append(natural_order(instance))
-    if not orders:
+        named.append(natural_order(instance))
+    id_to_idx = {aid: i for i, aid in enumerate(instance.ids)}
+    rows.extend(np.array([id_to_idx[a] for a in o], dtype=np.int64) for o in named)
+    if not rows:
         raise NoOrdersError("no orders to evaluate: pass order_count > 0 or extra orders")
 
-    order_mat = np.array([[id_to_idx[a] for a in o] for o in orders], dtype=np.int64)
+    order_mat = np.stack(rows)
     values = _dp_values_batch(instance, order_mat)
     best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
-    result = sorted_ads(instance, orders[best])
+    ids = np.array(instance.ids, dtype=np.int64)
+    result = sorted_ads(instance, tuple(int(x) for x in ids[order_mat[best]]))
     return SortedDpResult(value=result.value, alloc=result.alloc, order_index=best)

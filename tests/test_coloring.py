@@ -19,12 +19,13 @@ from cascade_auctions import (
     draw_colorings,
     enumerate_all,
     miss_probability_bound,
+    prune_instance,
     social_welfare,
 )
 from cascade_auctions.coloring import (
-    _batch_pass_values,
+    _backtrack,
     _new_color_probabilities,
-    _pass_values_numpy,
+    _pass_memo,
     _surjection_table,
 )
 from cascade_auctions.harness import GeneratorConfig, generate_instance
@@ -192,26 +193,87 @@ def test_colored_pass_matches_filtered_enumeration(seed):
         assert social_welfare(inst, res.alloc) == pytest.approx(res.value, rel=1e-12)
 
 
-def test_batch_pass_values_matches_scalar_bitwise():
+def test_pass_memo_rows_match_enumeration_oracle():
     inst = generate_instance(GeneratorConfig(num_ads=9, num_slots=3, seed=11))
     colorings = draw_colorings(9, 3, 64, np.random.default_rng(11))
-    batch = _batch_pass_values(inst, colorings)
-    scalar = np.array([colored_pass(inst, c).value for c in colorings])
-    assert np.array_equal(batch, scalar)
+    memo = _pass_memo(inst, colorings)
+    assert memo.shape == (1 << 3, 64)
+    for r, coloring in enumerate(colorings):
+        value = memo[-1, r]
+        assert value == pytest.approx(
+            best_with_distinct_colors(inst, coloring), rel=1e-12
+        )
+        alloc = _backtrack(inst, coloring, memo[:, r])
+        assert len(alloc.slots) == 3
+        assert len({coloring[inst.ids.index(aid)] for aid in alloc.slots}) == 3
+        assert social_welfare(inst, alloc) == pytest.approx(value, rel=1e-12)
 
 
-def test_numpy_fallback_matches_compiled_bitwise():
-    from cascade_auctions.coloring import _lam_by_size, _subset_order
+def _golden_instance(name):
+    if name == "one-slot":
+        return generate_instance(GeneratorConfig(num_ads=6, num_slots=1, seed=8))
+    if name == "all-ties":
+        ads = tuple(Ad(i, 1.0, 1.0, 0.5) for i in range(1, 5))
+        return AuctionInstance(ads, SlotLadder.from_factors([0.5], 2))
+    if name == "rejection":
+        return generate_instance(GeneratorConfig(num_ads=20, num_slots=2, seed=19))
+    if name == "small-chunk":
+        return generate_instance(GeneratorConfig(num_ads=10, num_slots=3, seed=14))
+    big = generate_instance(GeneratorConfig(num_ads=300, num_slots=7, seed=5))
+    return prune_instance(big, use_fast=True)[0]
 
-    inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=4, seed=12))
-    colorings = draw_colorings(8, 4, 32, np.random.default_rng(12))
-    wv, cont = inst.arrays()
-    bits = np.left_shift(np.int64(1), colorings - 1)
-    lam_by_size = _lam_by_size(inst)
-    order, sizes = _subset_order(4)
-    via_numpy = np.empty(len(colorings))
-    _pass_values_numpy(wv, cont, bits, lam_by_size, order, sizes, via_numpy)
-    assert np.array_equal(via_numpy, _batch_pass_values(inst, colorings))
+
+# Seeded outputs recorded from the per-ad loop DP that the batched kernel
+# replaced; the kernel must reproduce them bit for bit.  Each case:
+# colored_ads keywords, its (repr(value), slots, iteration, coloring), and
+# colored_pass on a fixed coloring, its (coloring, repr(value), slots).
+GOLDEN = {
+    "one-slot": (
+        dict(iterations=5, seed=3),
+        ("0.34433620072474974", (3,), 0, (1, 1, 1, 1, 1, 1)),
+        ((1, 1, 1, 1, 1, 1), "0.34433620072474974", (3,)),
+    ),
+    "all-ties": (
+        dict(iterations=12, seed=0),
+        ("1.25", (1, 2), 0, (2, 1, 1, 1)),
+        ((2, 2, 1, 1), "1.25", (1, 3)),
+    ),
+    "rejection": (
+        dict(iterations=25, seed=2),
+        ("1.1451422050360966", (2, 5), 2,
+         (1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1)),
+        ((1, 2, 2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1, 1),
+         "1.0590112482045495", (2, 16)),
+    ),
+    # the winning pass lies in the second chunk
+    "small-chunk": (
+        dict(iterations=30, seed=0, chunk=8),
+        ("1.9233698897448606", (8, 1, 6), 15, (2, 1, 3, 1, 3, 3, 3, 1, 1, 1)),
+        ((1, 3, 2, 1, 3, 1, 1, 2, 1, 1), "1.9222491898846603", (8, 1, 5)),
+    ),
+    # survivors of a pruned N=300, K=7 instance, default pass count
+    "seven-slots": (
+        dict(seed=11),
+        ("3.87134308036138", (150, 121, 59, 57, 148, 194, 106), 139,
+         (2, 7, 3, 6, 3, 7, 2, 4, 7, 5, 3, 1, 7, 5, 5, 1,
+          1, 6, 4, 6, 6, 2, 3, 5, 3, 5, 1, 2, 4, 6, 7)),
+        ((6, 2, 1, 3, 3, 6, 4, 1, 3, 5, 6, 6, 7, 2, 7, 1,
+          4, 2, 2, 5, 3, 4, 2, 2, 6, 4, 5, 5, 7, 3, 2),
+         "3.833668934964503", (150, 121, 59, 57, 26, 136, 228)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_colored_outputs_match_recorded_values(name):
+    kwargs, (value, slots, iteration, coloring), pass_expected = GOLDEN[name]
+    inst = _golden_instance(name)
+    res = colored_ads(inst, **kwargs)
+    assert (repr(res.value), res.alloc.slots, res.iteration, res.coloring) == (
+        value, slots, iteration, coloring
+    )
+    single = colored_pass(inst, pass_expected[0])
+    assert (single.coloring, repr(single.value), single.alloc.slots) == pass_expected
 
 
 def test_colored_ads_deterministic_and_replayable():
