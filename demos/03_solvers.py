@@ -45,7 +45,7 @@ print("sorted:       ", sorted_dp.value)
 big = generate_instance(GeneratorConfig(num_ads=1000, num_slots=5, seed=3))
 
 t0 = time.perf_counter()
-pruned, report = prune_instance(big, use_fast=True)
+pruned, report = prune_instance(big)
 t1 = time.perf_counter()
 col = colored_ads(pruned, seed=0)
 t2 = time.perf_counter()

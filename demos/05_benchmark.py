@@ -16,7 +16,7 @@ config = GeneratorConfig(num_ads=60, num_slots=5, seed=42)
 # Each trial draws a fresh instance from the config's seed stream, prunes
 # it, and runs the requested solvers. Values are reported as ratios to
 # the best value seen in the trial (the exact one when it completed).
-records = run_pipeline(config, trials=3, reps=3, use_fast_prune=True)
+records = run_pipeline(config, trials=3, reps=3)
 
 # Prune rows carry the survivor count instead of a ratio; solver rows
 # the other way around.

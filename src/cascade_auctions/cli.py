@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="min",
                    choices=("min", "const-lambda", "decouple", "aggressive"))
     p.add_argument("--fast", action="store_true",
-                   help="use the rank-based counter (falls back on ties)")
+                   help="accepted for compatibility; pruning always uses the skyband counter")
     p.add_argument("--threshold", type=int, default=None,
                    help="dominator count that discards an ad (default: slot count)")
     p.add_argument("--out-instance", help="write the pruned instance JSON here")
@@ -269,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--algorithms", default="prune,exact,colored,sorted")
-    p.add_argument("--fast-prune", action="store_true")
+    p.add_argument("--fast-prune", action="store_true",
+                   help="accepted for compatibility; pruning always uses the skyband counter")
     p.add_argument("--records", required=True, help="per-record CSV output path")
     p.add_argument("--aggregate", required=True, help="aggregate CSV output path")
     add_format(p)

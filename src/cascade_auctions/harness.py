@@ -154,7 +154,9 @@ def run_pipeline(
     finished within budget on the pruned instance, otherwise the best
     value any algorithm produced for that trial.  Trials run in parallel
     when the thread-count environment variable asks for it; output order
-    is deterministic regardless.
+    is deterministic regardless.  ``use_fast_prune`` is accepted for
+    compatibility and changes nothing: pruning always counts with the
+    skyband filter.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")

@@ -14,6 +14,35 @@ improved by swapping a in, so an ad with at least K such dominators can
 never appear in an optimal allocation and may be dropped.  B must upper
 bound the value an allocation can accumulate; two cheap bounds are provided
 and the tighter one is used by default.
+
+prune_instance counts dominators with a K-skyband filter (Papadias, Tao, Fu
+and Seeger, "Progressive skyline computation in database systems", ACM
+TODS 2005).  At a corner (x, y) the margin factors as the cross product
+
+    (wv_a + y * c_a) * (1 - x * c_b) - (wv_b + y * c_b) * (1 - x * c_a)
+
+of two vectors in the nonnegative quadrant, so each corner orders the ads
+by angle and dominance (a positive margin at all four corners) is a strict
+partial order: every dominator of a dominator of b also dominates b.
+
+Call the ads with fewer than T dominators the T-skyband.  Let b have at
+least T dominators.  If none of them has T or more dominators, all of
+them lie in the skyband.  Otherwise pick, among b's dominators with T or
+more dominators, one that no other of them dominates; its own dominators
+all dominate b, none of them has T or more dominators, and there are at
+least T of them.  Either way b has at least T dominators in the skyband.
+A survivor's dominators each have fewer dominators than it has, so they
+all lie in the skyband as well.  At corner (0, 0) the margin is exactly
+wv_a - wv_b, so a dominator has strictly larger wv, in floats as well.
+Scanning ads by decreasing wv and counting each block's dominators among
+the skyband found so far plus the block itself therefore keeps exactly
+the ads the all-pairs count keeps, and gives survivors their exact counts.
+
+In floats the margin expression is evaluated as written, not factored, and
+rounding could in principle break transitivity.  The skyband count only
+ever counts a subset of an ad's dominators, so it never exceeds the
+all-pairs count: a rounding failure could keep an extra ad, never drop one
+that the all-pairs count keeps.
 """
 from __future__ import annotations
 
@@ -22,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Ad, AuctionError, AuctionInstance, SlotLadder
-from .sorted_dp import sorted_ads
+from .model import Ad, AuctionError, AuctionInstance
+from .sorted_dp import _dp_table
 
 __all__ = [
     "DominanceTieError",
@@ -88,8 +117,12 @@ class RankVector:
 class DominanceReport:
     """What prune_instance did.
 
-    ``dom_counts`` maps every original ad id to its dominator count: the
-    final-round count for survivors, the count at discard time otherwise.
+    ``dom_counts`` maps every original ad id to a dominator count.  For a
+    survivor it is the exact count in the final round.  For a discarded ad
+    it is the number of dominators the skyband filter found in the round
+    that dropped it: a lower bound on the exact count, at least the discard
+    threshold.  ``used_fast`` echoes the ``use_fast`` argument, which has
+    no effect; ``fallbacks`` is always 0.
     """
 
     dom_counts: dict[int, int]
@@ -118,14 +151,14 @@ def dominates(a: Ad, b: Ad, params: DominanceParams) -> bool:
     return all(w_value(a, b, x, y) > 0.0 for x, y in params.corners)
 
 
-def _const_lambda_order(instance: AuctionInstance, lam: float) -> tuple[int, ...]:
-    def key(ad: Ad) -> tuple[float, float, int]:
-        denom = 1.0 - lam * ad.continuation
-        if denom <= 0.0:
-            return (-np.inf, -ad.weighted_value, ad.id)
-        return (-(ad.weighted_value / denom), 0.0, ad.id)
-
-    return tuple(ad.id for ad in sorted(instance.ads, key=key))
+def _const_lambda_order(wv: np.ndarray, cont: np.ndarray, ids: tuple[int, ...], lam: float) -> np.ndarray:
+    """Ad indices by descending wv / (1 - lam * c); ads with no positive
+    denominator go first by descending wv; ties break by ascending id."""
+    denom = 1.0 - lam * cont
+    live = denom > 0.0
+    primary = np.where(live, -(wv / np.where(live, denom, 1.0)), -np.inf)
+    tie = np.where(live, 0.0, -wv)
+    return np.lexsort((ids, tie, primary))
 
 
 def const_lambda_bound(instance: AuctionInstance) -> float:
@@ -137,11 +170,9 @@ def const_lambda_bound(instance: AuctionInstance) -> float:
     """
     lam = instance.ladder.max_factor
     k = instance.num_slots
-    relaxed = AuctionInstance(
-        instance.ads, SlotLadder.from_factors([lam] * (k - 1), num_slots=k)
-    )
-    order = _const_lambda_order(instance, lam)
-    return sorted_ads(relaxed, order).value
+    wv, cont = instance.arrays()
+    order = _const_lambda_order(wv, cont, instance.ids, lam)
+    return _dp_table(wv[order].tolist(), cont[order].tolist(), (lam,) * (k - 1), k)[0][0]
 
 
 def decouple_bounds(instance: AuctionInstance) -> np.ndarray:
@@ -198,30 +229,90 @@ def choose_bound(instance: AuctionInstance, strategy: str = "min") -> DominanceP
 # ---------------------------------------------------------------------------
 
 
-def _dominance_matrix(instance: AuctionInstance, params: DominanceParams, chunk: int = 256) -> np.ndarray:
-    """Boolean matrix dom[i, j]: ad i dominates ad j."""
+def _dominance_block(
+    wv_a: np.ndarray, c_a: np.ndarray, wv_b: np.ndarray, c_b: np.ndarray, params: DominanceParams
+) -> np.ndarray:
+    """Boolean block dom[i, j]: ad a_i dominates ad b_j.
+
+    The one home of the four-corner margin expression; every counter
+    builds on it, so their counts agree bit for bit.
+    """
+    wvi = wv_a[:, None]
+    ci = c_a[:, None]
+    x_coef = ci * wv_b[None, :] - wvi * c_b[None, :]
+    y_coef = ci - c_b[None, :]
+    const = wvi - wv_b[None, :]
+    corners = iter(params.corners)
+    x, y = next(corners)
+    ok = (x * x_coef + y * y_coef + const) > 0.0
+    for x, y in corners:
+        ok &= (x * x_coef + y * y_coef + const) > 0.0
+    return ok
+
+
+def _dominance_matrix(instance: AuctionInstance, params: DominanceParams) -> np.ndarray:
+    """Boolean matrix dom[i, j]: ad i dominates ad j.  N x N; small N only."""
     wv, cont = instance.arrays()
-    n = len(wv)
-    out = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        wvi = wv[lo:hi, None]
-        ci = cont[lo:hi, None]
-        x_coef = ci * wv[None, :] - wvi * cont[None, :]
-        y_coef = ci - cont[None, :]
-        const = wvi - wv[None, :]
-        ok = np.ones((hi - lo, n), dtype=bool)
-        for x, y in params.corners:
-            ok &= (x * x_coef + y * y_coef + const) > 0.0
-        out[lo:hi] = ok
-    return out
+    return _dominance_block(wv, cont, wv, cont, params)
+
+
+# elements per temporary in the chunked all-pairs count: 64 KB arrays stay
+# in cache and below the size at which malloc maps fresh pages per call
+_PAIR_CHUNK = 1 << 13
 
 
 def count_dominators_naive(instance: AuctionInstance, params: DominanceParams) -> dict[int, int]:
-    """Dominator count per ad by checking all ordered pairs; O(N^2)."""
-    dom = _dominance_matrix(instance, params)
-    counts = dom.sum(axis=0)
-    return {ad.id: int(c) for ad, c in zip(instance.ads, counts)}
+    """Dominator count per ad by checking all ordered pairs; O(N^2) time.
+
+    Sums the dominance matrix a row chunk at a time; a chunk holds about
+    _PAIR_CHUNK pairs (one row once N is larger), so temporaries stay O(N).
+    """
+    wv, cont = instance.arrays()
+    n = len(wv)
+    chunk = max(1, _PAIR_CHUNK // n)
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, chunk):
+        counts += _dominance_block(wv[lo : lo + chunk], cont[lo : lo + chunk], wv, cont, params).sum(axis=0)
+    return dict(zip(instance.ids, counts.tolist()))
+
+
+# ads per block of the skyband scan
+_SKYBAND_BLOCK = 64
+
+
+def _skyband_counts(instance: AuctionInstance, params: DominanceParams, threshold: int) -> np.ndarray:
+    """Dominators per ad (in ad order) found by a threshold-skyband scan.
+
+    Walks the ads by decreasing wv (stably) in fixed blocks and counts each
+    block's dominators among the skyband so far plus the block itself; the
+    block's ads with fewer than ``threshold`` dominators join the skyband.
+    Ads below the threshold get their exact count; the others get a count
+    of at least ``threshold`` (see the module docstring).
+    """
+    wv, cont = instance.arrays()
+    n = len(wv)
+    order = np.argsort(-wv, kind="stable")
+    wv_s, c_s = wv[order], cont[order]
+    # the skyband fills the first m entries; each block is staged right
+    # after it so that one block call covers skyband and block together
+    sky_wv = np.empty(n)
+    sky_c = np.empty(n)
+    counts = np.empty(n, dtype=np.int64)
+    m = 0
+    for lo in range(0, n, _SKYBAND_BLOCK):
+        bw = wv_s[lo : lo + _SKYBAND_BLOCK]
+        bc = c_s[lo : lo + _SKYBAND_BLOCK]
+        end = m + len(bw)
+        sky_wv[m:end] = bw
+        sky_c[m:end] = bc
+        got = _dominance_block(sky_wv[:end], sky_c[:end], bw, bc, params).sum(axis=0)
+        counts[order[lo : lo + _SKYBAND_BLOCK]] = got
+        keep = got < threshold
+        kept = m + int(keep.sum())
+        sky_wv[m:kept] = bw[keep]
+        sky_c[m:kept] = bc[keep]
+        m = kept
+    return counts
 
 
 def _corner_ranks(wv: np.ndarray, cont: np.ndarray, x: float, y: float) -> np.ndarray:
@@ -372,7 +463,8 @@ def prune_instance(
     An ad with at least K dominators (K+1 under a stricter opt-in
     threshold) is discarded; bounds and counts are then recomputed on the
     shrunk instance until a fixpoint.  The optimum of the reduced instance
-    equals the optimum of the original.
+    equals the optimum of the original.  Each round counts with the skyband
+    scan; ``use_fast`` is accepted for compatibility and changes nothing.
     """
     k = instance.num_slots
     threshold = k if discard_threshold is None else discard_threshold
@@ -382,27 +474,18 @@ def prune_instance(
     current = instance
     dom_counts: dict[int, int] = {}
     discarded: list[int] = []
-    fallbacks = 0
     iterations = 0
     while True:
         iterations += 1
         params = choose_bound(current, strategy)
-        if use_fast:
-            try:
-                arr = _fast_counts(current, params)
-                counts = {ad.id: int(c) for ad, c in zip(current.ads, arr)}
-            except DominanceTieError:
-                fallbacks += 1
-                counts = count_dominators_naive(current, params)
-        else:
-            counts = count_dominators_naive(current, params)
-        dom_counts.update(counts)
-        drop = [aid for aid, c in counts.items() if c >= threshold]
-        if not drop or iterations >= instance.num_ads:
+        counts = _skyband_counts(current, params, threshold)
+        ids = current.ids
+        dom_counts.update(zip(ids, counts.tolist()))
+        dropped = (counts >= threshold).tolist()
+        if not any(dropped) or iterations >= instance.num_ads:
             break
-        discarded.extend(drop)
-        keep = [ad.id for ad in current.ads if counts[ad.id] < threshold]
-        current = current.restricted_to(keep)
+        discarded.extend(aid for aid, d in zip(ids, dropped) if d)
+        current = current.restricted_to(aid for aid, d in zip(ids, dropped) if not d)
 
     report = DominanceReport(
         dom_counts=dom_counts,
@@ -411,6 +494,6 @@ def prune_instance(
         bound_used=params,
         iterations=iterations,
         used_fast=use_fast,
-        fallbacks=fallbacks,
+        fallbacks=0,
     )
     return current, report

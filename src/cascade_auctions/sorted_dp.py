@@ -84,6 +84,27 @@ def _check_order(instance: AuctionInstance, order: Sequence[int]) -> None:
         raise InvalidAllocationError("order must be a permutation of the instance's ad ids")
 
 
+def _dp_table(wv: list[float], cont: list[float], lam: Sequence[float], k: int) -> list[list[float]]:
+    """Take-or-skip table for ads listed in scan order, O(N*K).
+
+    table[i][s-1] is the best value using ads i.. in slots s..K, with the
+    prominence at slot s taken as 1; ``lam`` holds the slot factors.
+    """
+    n = len(wv)
+    table = [[0.0] * (k + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = table[i]
+        nxt = table[i + 1]
+        w, c = wv[i], cont[i]
+        skip = nxt[k - 1]
+        row[k - 1] = w if w >= skip else skip  # the last slot: nothing below
+        for s in range(k - 1, 0, -1):
+            take = w + (c * lam[s - 1]) * nxt[s]
+            skip = nxt[s - 1]
+            row[s - 1] = take if take >= skip else skip
+    return table
+
+
 def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResult:
     """Best allocation that lists ads consistently with `order`, no gaps.
 
@@ -94,22 +115,10 @@ def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResul
     n = instance.num_ads
     k = instance.num_slots
     lam = instance.ladder.effective_factors
-    wv = [instance.ad(aid).weighted_value for aid in order]
-    cont = [instance.ad(aid).continuation for aid in order]
-
-    # table[i][s-1]: best value using ads order[i:] in slots s..K, with the
-    # prominence at slot s taken as 1.
-    table = [[0.0] * (k + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = table[i]
-        nxt = table[i + 1]
-        for s in range(k, 0, -1):
-            if s == k:
-                take = wv[i]
-            else:
-                take = wv[i] + (cont[i] * lam[s - 1]) * nxt[s]
-            skip = nxt[s - 1]
-            row[s - 1] = take if take >= skip else skip
+    picked = [instance.ad(aid) for aid in order]
+    wv = [ad.weighted_value for ad in picked]
+    cont = [ad.continuation for ad in picked]
+    table = _dp_table(wv, cont, lam, k)
 
     chosen: list[int] = []
     i, s = 0, 1

@@ -1,6 +1,8 @@
 """Dominance pruning: margins, bounds, counting, instance reduction."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from cascade_auctions import (
     w_value,
 )
 from cascade_auctions.model import Allocation
-from cascade_auctions.prune import _PlaneCounter, _fast_counts, rank_vectors
+from cascade_auctions.prune import _PlaneCounter, _const_lambda_order, _fast_counts, rank_vectors
 from cascade_auctions.harness import GeneratorConfig, generate_instance
 from conftest import brute_optimum, two_ad_instance
 
@@ -330,10 +332,105 @@ def test_prune_is_idempotent():
     assert report.iterations == 1
 
 
-def test_fast_and_naive_prune_agree_end_to_end():
-    for seed in range(8):
-        inst = generate_instance(GeneratorConfig(num_ads=200, num_slots=5, seed=seed))
-        a, ra = prune_instance(inst, use_fast=True)
-        b, rb = prune_instance(inst, use_fast=False)
-        assert a.ids == b.ids
-        assert ra.dom_counts == rb.dom_counts
+def naive_prune_reference(inst, threshold):
+    """choose_bound, all-pairs count, drop ads at or above the threshold,
+    until a round drops nothing.  Returns the survivors, their final-round
+    counts, each discarded ad's count in the round that dropped it and the
+    number of rounds."""
+    current = inst
+    dropped_at = {}
+    rounds = 0
+    while True:
+        rounds += 1
+        counts = count_dominators_naive(current, choose_bound(current))
+        keep = [aid for aid in current.ids if counts[aid] < threshold]
+        dropped_at.update((aid, c) for aid, c in counts.items() if c >= threshold)
+        if len(keep) == current.num_ads:
+            return current.ids, counts, dropped_at, rounds
+        current = current.restricted_to(keep)
+
+
+def tied_instance():
+    # duplicates of generated ads, plus ads with the same wv but another
+    # continuation (v * q is exact for these values): the rank counter
+    # cannot order them
+    base = generate_instance(GeneratorConfig(num_ads=120, num_slots=4, seed=5))
+    ads = list(base.ads)
+    for i, ad in enumerate(base.ads[:30]):
+        ads.append(Ad(1000 + i, ad.value, ad.quality, ad.continuation))
+    for i in range(10):
+        c = 0.1 * i
+        ads.append(Ad(2000 + i, 2.0, 0.5, c))
+        ads.append(Ad(3000 + i, 1.0, 1.0, c))
+    return AuctionInstance(tuple(ads), base.ladder)
+
+
+def all_ties_instance():
+    ads = tuple(Ad(i, 1.5, 0.5, 0.4) for i in range(50))
+    return AuctionInstance(ads, SlotLadder.from_factors([0.9, 0.8], 3))
+
+
+PRUNE_CASES = {
+    "n1500-k5": (lambda: generate_instance(GeneratorConfig(num_ads=1500, num_slots=5, seed=41)), None),
+    "n300-k7": (lambda: generate_instance(GeneratorConfig(num_ads=300, num_slots=7, seed=42)), None),
+    "k1": (lambda: generate_instance(GeneratorConfig(num_ads=200, num_slots=1, seed=43)), None),
+    "threshold-k+1": (lambda: generate_instance(GeneratorConfig(num_ads=500, num_slots=5, seed=44)), 6),
+    "duplicates": (tied_instance, None),
+    "all-ties": (all_ties_instance, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+def test_skyband_prune_matches_naive_oracle(case):
+    make, discard_threshold = PRUNE_CASES[case]
+    inst = make()
+    threshold = inst.num_slots if discard_threshold is None else discard_threshold
+    want_ids, final_counts, dropped_at, rounds = naive_prune_reference(inst, threshold)
+
+    pruned, report = prune_instance(inst, discard_threshold=discard_threshold)
+    assert pruned.ids == want_ids
+    assert report.surviving == want_ids
+    assert set(report.discarded) == set(dropped_at)
+    assert report.iterations == rounds
+    assert report.fallbacks == 0
+    for aid in want_ids:
+        assert report.dom_counts[aid] == final_counts[aid]
+    for aid in report.discarded:
+        # a lower bound on the count at discard time, never below threshold
+        assert threshold <= report.dom_counts[aid] <= dropped_at[aid]
+
+
+def test_naive_counter_never_builds_the_pair_matrix():
+    n = 8000  # an n x n bool matrix alone would take 64 MB
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=5, seed=8))
+    params = choose_bound(inst)
+    tracemalloc.start()
+    try:
+        counts = count_dominators_naive(inst, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == n
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_const_lambda_order_matches_sort_key():
+    # a continuation of 1 under a factor of 1 leaves no positive
+    # denominator; repeated ads tie on the primary key
+    base = generate_instance(GeneratorConfig(num_ads=60, num_slots=4, seed=9))
+    ads = list(base.ads)
+    ads += [Ad(500 + i, ad.value, ad.quality, ad.continuation) for i, ad in enumerate(base.ads[:10])]
+    ads += [Ad(600 + i, 1.0 + i % 3, 0.5, 1.0) for i in range(6)]
+    inst = AuctionInstance(tuple(ads), SlotLadder.from_factors([1.0, 0.7, 0.5], 4))
+    lam = inst.ladder.max_factor
+
+    def key(ad):
+        denom = 1.0 - lam * ad.continuation
+        if denom <= 0.0:
+            return (-np.inf, -ad.weighted_value, ad.id)
+        return (-(ad.weighted_value / denom), 0.0, ad.id)
+
+    want = tuple(ad.id for ad in sorted(inst.ads, key=key))
+    wv, cont = inst.arrays()
+    order = _const_lambda_order(wv, cont, inst.ids, lam)
+    assert tuple(np.array(inst.ids)[order].tolist()) == want
