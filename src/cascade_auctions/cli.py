@@ -149,7 +149,8 @@ def _cmd_mech(args: argparse.Namespace) -> int:
         outcome = vcg_pdc_outcome(instance, bids)
     else:
         outcome = vcg_apdc_outcome(
-            instance, bids, allocator=args.allocator, seed=args.seed
+            instance, bids, allocator=args.allocator, seed=args.seed,
+            budget=args.budget,
         )
     payload = {
         "mechanism": outcome.mechanism,
@@ -251,6 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-by-quality", action="store_true",
                    help="gsp: rank by quality-weighted bid")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None,
+                   help="vcg-apdc exact: node budget per solve (needed above 20 ads); "
+                        "running out is an error")
     add_format(p)
     p.set_defaults(func=_cmd_mech)
 

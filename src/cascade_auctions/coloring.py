@@ -15,6 +15,14 @@ the 2^K color subsets on the first axis of its memo table.  No choice table
 is kept: the winning allocation is replayed from the winning pass's memo
 column, taking at each state the first ad whose value reproduces the memo
 entry exactly.  colored_pass is the same kernel on a batch of one.
+
+The colorings of a batch are a pure function of (ads, colors, chunk,
+seed, batch index): no value or bid enters them.  colored_ads therefore
+memoizes the rows it uses in a small cache.  A VCG mechanism reruns the
+allocator once per bidder and once per deviation it checks, always with
+the same seed and ad count, so those reruns reuse one draw.  Sharing it
+is the same bid-independence that keeps the mechanism truthful: the
+range of allocations a seed can reach never depends on what anyone bids.
 """
 from __future__ import annotations
 
@@ -228,6 +236,30 @@ def draw_colorings(
     return _draw_colorings_chain(num_ads, k, count, rng)
 
 
+# One VCG outcome alternates between the reported n-ad instance and its
+# (n-1)-ad leave-one-out instances, which all share one key; two entries
+# keep both warm across every rerun and every later deviation check, while
+# callers that never repeat a key retain at most two blocks.
+_BLOCK_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _seeded_block(
+    num_ads: int, num_colors: int, chunk: int, seed: int, batch: int, take: int
+) -> np.ndarray:
+    """First ``take`` rows of batch ``batch`` of colored_ads's stream, read-only.
+
+    The whole ``chunk``-row batch is drawn, so the rows are those of the
+    unmemoized stream; only the rows the passes use are kept.
+    """
+    rng = np.random.default_rng((seed, batch))
+    block = draw_colorings(num_ads, num_colors, chunk, rng)
+    if take < chunk:
+        block = block[:take].copy()
+    block.flags.writeable = False
+    return block
+
+
 @lru_cache(maxsize=None)
 def _subset_order(num_colors: int) -> tuple[int, ...]:
     """Nonempty color subsets in increasing-size order."""
@@ -336,8 +368,10 @@ def colored_ads(
     Batch c draws ``chunk`` colorings from a generator seeded with
     (seed, c), always the full batch, so pass t's coloring depends only on
     (seed, chunk, t): results are reproducible and extending the pass
-    count only refines the answer.  A ``time_budget`` in seconds is
-    honored between batches; at least one batch always runs.
+    count only refines the answer.  The rows a call uses are memoized
+    (see the module docstring), so a repeated call draws nothing.  A
+    ``time_budget`` in seconds is honored between batches; at least one
+    batch always runs.
     """
     if iterations is None:
         iterations = default_iterations(instance.num_slots)
@@ -355,10 +389,9 @@ def colored_ads(
         if time_budget is not None and done > 0:
             if time.perf_counter() - started >= time_budget:
                 break
-        rng = np.random.default_rng((seed, done // chunk))
-        block = draw_colorings(n, k, chunk, rng)
         take = min(chunk, iterations - done)
-        memo = _pass_memo(instance, block[:take])
+        block = _seeded_block(n, k, chunk, seed, done // chunk, take)
+        memo = _pass_memo(instance, block)
         j = int(np.argmax(memo[-1]))
         if memo[-1, j] > best_value:
             best_value = float(memo[-1, j])

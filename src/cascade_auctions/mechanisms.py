@@ -17,7 +17,14 @@ true model.
   not depend on any single bid, charging Clarke-style differences makes
   truthful reporting a dominant strategy for every allocator choice.
   Individual rationality and nonnegative payments are only guaranteed
-  with the exact allocator.
+  with the exact allocator, and an exact rerun whose node budget runs out
+  is an error, not a payment.
+
+The N+1 reruns of one outcome, and the outcomes an equilibrium check
+builds for each deviation, all use one seed on at most two ad counts.
+The approximate allocators memoize their colorings and orders on (sizes,
+seed), so those reruns draw them once.  That sharing rests on the same
+fact as truthfulness: the draws never depend on a bid.
 """
 from __future__ import annotations
 
@@ -26,10 +33,18 @@ from typing import Callable, Mapping, Sequence
 
 from .coloring import colored_ads
 from .exact import solve_exact
-from .model import Allocation, AuctionInstance, SlotLadder, ctr, social_welfare
+from .model import (
+    Allocation,
+    AuctionError,
+    AuctionInstance,
+    SlotLadder,
+    ctr,
+    social_welfare,
+)
 from .sorted_dp import multi_order_approx
 
 __all__ = [
+    "IncompleteSolveError",
     "BidProfile",
     "MechanismOutcome",
     "NashCheck",
@@ -43,6 +58,18 @@ __all__ = [
 BidProfile = Mapping[int, float]
 
 _APDC_ALLOCATORS = ("exact", "colored", "sorted")
+
+
+class IncompleteSolveError(AuctionError):
+    """An exact VCG rerun ran out of its node budget before proving optimality."""
+
+    def __init__(self, ad_ids: Sequence[int], budget: int | None) -> None:
+        self.ad_ids = tuple(ad_ids)
+        self.budget = budget
+        super().__init__(
+            f"exact solve over ads {list(self.ad_ids)} exhausted its node "
+            f"budget of {budget}; the payments would not be VCG payments"
+        )
 
 
 @dataclass(frozen=True)
@@ -209,6 +236,11 @@ def vcg_apdc_outcome(
     minus what the others get under the chosen allocation.  The seeded
     randomness of the approximate allocators depends only on (seed, ad
     set), never on bids, which preserves dominant-strategy truthfulness.
+
+    Raises:
+        IncompleteSolveError: an exact solve, of the reported instance or
+            of a leave-one-out instance, exhausted ``budget``; its best
+            allocation so far would not give VCG payments.
     """
     if allocator not in _APDC_ALLOCATORS:
         raise ValueError(f"allocator must be one of {_APDC_ALLOCATORS}, got {allocator!r}")
@@ -218,6 +250,8 @@ def vcg_apdc_outcome(
     def run(inst: AuctionInstance) -> tuple[Allocation, float]:
         if allocator == "exact":
             res = solve_exact(inst, budget=budget, hard_cap=hard_cap)
+            if not res.complete:
+                raise IncompleteSolveError(inst.ids, budget)
             return res.best_alloc, res.best_value
         if allocator == "colored":
             res = colored_ads(inst, iterations=iterations, seed=seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -194,9 +195,18 @@ class AuctionInstance:
         return ad_id in self._index
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weighted_value, continuation) arrays in ad order."""
+        """(weighted_value, continuation) arrays in ad order, read-only.
+
+        Built on the first call and shared by every later one.
+        """
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         wv = np.array([ad.weighted_value for ad in self.ads], dtype=float)
         cont = np.array([ad.continuation for ad in self.ads], dtype=float)
+        wv.flags.writeable = False
+        cont.flags.writeable = False
         return wv, cont
 
     def without(self, ad_id: int) -> "AuctionInstance":

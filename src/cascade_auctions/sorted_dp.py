@@ -6,11 +6,20 @@ take-or-skip dynamic program.  With a constant slot factor the best such
 allocation under *any* order recovers at least half the optimum, and
 sorting by weighted value over (1 - continuation) is exactly optimal when
 all slot factors are 1.
+
+The random orders are a pure function of (ad count, order count, seed):
+no value or bid enters them.  multi_order_approx therefore memoizes the
+order matrix in a small cache.  A VCG mechanism reruns the allocator once
+per bidder and once per deviation it checks, always with the same seed
+and ad count, so those reruns share one matrix.  Sharing it is the same
+bid-independence that keeps the mechanism truthful: the range of
+allocations a seed can reach never depends on what anyone bids.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +86,26 @@ def random_order(instance: AuctionInstance, seed: int, index: int) -> AdOrder:
     rng = np.random.default_rng((seed, index))
     ids = np.array(instance.ids, dtype=np.int64)
     return tuple(int(x) for x in rng.permutation(ids))
+
+
+# One VCG outcome alternates between the reported n-ad instance and its
+# (n-1)-ad leave-one-out instances, which all share one key; two entries
+# keep both warm across every rerun and every later deviation check.
+_ORDER_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
+    """Read-only (order_count, n) matrix; row t indexes random_order(seed, t).
+
+    permutation(n) applies the same shuffle as permutation(ids), so row t
+    mapped through the instance's ids is random_order(instance, seed, t).
+    """
+    out = np.empty((order_count, n), dtype=np.int64)
+    for t in range(order_count):
+        out[t] = np.random.default_rng((seed, t)).permutation(n)
+    out.flags.writeable = False
+    return out
 
 
 def _check_order(instance: AuctionInstance, order: Sequence[int]) -> None:
@@ -166,7 +195,8 @@ def multi_order_approx(
     """Best sorted_ads result over random orders plus named/extra orders.
 
     Random orders use the streams (seed, 0..T-1); the default order count is
-    2*K^3.  The natural order is appended unless disabled (mechanisms built
+    2*K^3, and the order matrix is memoized (see the module docstring).
+    The natural order is appended unless disabled (mechanisms built
     on this allocator must disable it: it depends on the reported values).
     Ties keep the lowest order index.
     """
@@ -176,21 +206,19 @@ def multi_order_approx(
     if order_count < 0:
         raise NoOrdersError("order_count must be >= 0")
 
-    # index-native orders: permutation(n) applies the same shuffle as
-    # permutation(ids), so the random orders match random_order's
-    n = instance.num_ads
-    rows = [np.random.default_rng((seed, t)).permutation(n) for t in range(order_count)]
+    order_mat = _random_orders(instance.num_ads, order_count, seed)
     named = list(extra_orders)
     for extra in named:
         _check_order(instance, extra)
     if include_natural:
         named.append(natural_order(instance))
-    id_to_idx = {aid: i for i, aid in enumerate(instance.ids)}
-    rows.extend(np.array([id_to_idx[a] for a in o], dtype=np.int64) for o in named)
-    if not rows:
+    if named:
+        id_to_idx = {aid: i for i, aid in enumerate(instance.ids)}
+        named_mat = np.array([[id_to_idx[a] for a in o] for o in named], dtype=np.int64)
+        order_mat = np.vstack([order_mat, named_mat])
+    if not len(order_mat):
         raise NoOrdersError("no orders to evaluate: pass order_count > 0 or extra orders")
 
-    order_mat = np.stack(rows)
     values = _dp_values_batch(instance, order_mat)
     best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
     ids = np.array(instance.ids, dtype=np.int64)

@@ -11,6 +11,8 @@ from cascade_auctions import (
     load_instance,
     multi_order_approx,
     solve_exact,
+    truthful_profile,
+    vcg_apdc_outcome,
 )
 from cascade_auctions import cli
 from cascade_auctions.harness import GeneratorConfig, generate_instance
@@ -140,6 +142,40 @@ def test_mech_gsp_and_vcg_apdc(tmp_path, capsys):
         assert set(payload["payments"]) == {str(i) for i in inst.ids}
         balance = sum(payload["utilities"].values()) + payload["revenue"]
         assert balance == pytest.approx(payload["social_welfare"], abs=1e-9)
+
+
+def write_thirty_ad_auction(tmp_path):
+    """30 ads, above the exact solver's 20-ad cap, with truthful bids."""
+    path = write_instance(tmp_path, num_ads=30, num_slots=4, seed=1)
+    inst = load_instance(path.read_text())
+    bids_path = tmp_path / "bids.json"
+    bids_path.write_text(json.dumps({str(ad.id): ad.value for ad in inst.ads}))
+    argv = ("mech", "--input", str(path), "--bids", str(bids_path),
+            "--mechanism", "vcg-apdc")
+    return inst, argv
+
+
+def test_mech_vcg_apdc_exact_budget(tmp_path, capsys):
+    inst, argv = write_thirty_ad_auction(tmp_path)
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "without a node budget" in err
+
+    code, out, err = run_cli(capsys, *argv, "--budget", "100000")
+    assert code == 0
+    payload = json.loads(out)
+    expected = vcg_apdc_outcome(inst, truthful_profile(inst), budget=100_000)
+    assert payload["slots"] == list(expected.alloc.slots)
+    assert payload["payments"] == {str(k): v for k, v in sorted(expected.payments.items())}
+
+
+def test_mech_vcg_apdc_exhausted_budget_fails(tmp_path, capsys):
+    _, argv = write_thirty_ad_auction(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--budget", "100")
+    assert code == 1
+    assert out == ""
+    assert "exhausted its node budget of 100" in err
 
 
 def test_mech_rejects_incomplete_bids(tmp_path, capsys):

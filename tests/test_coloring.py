@@ -26,6 +26,7 @@ from cascade_auctions.coloring import (
     _backtrack,
     _new_color_probabilities,
     _pass_memo,
+    _seeded_block,
     _surjection_table,
 )
 from cascade_auctions.harness import GeneratorConfig, generate_instance
@@ -355,3 +356,54 @@ def test_colored_ads_rejection_regime_instance():
     res = colored_ads(inst, iterations=25, seed=2)
     assert social_welfare(inst, res.alloc) == pytest.approx(res.value, rel=1e-12)
     assert len(res.alloc.slots) == 2
+
+
+def _colored_key(res):
+    return (repr(res.value), res.alloc.slots, res.coloring, res.iteration, res.iterations_run)
+
+
+def test_colored_ads_memo_cold_and_warm_agree():
+    # a VCG outcome alternates between n and n-1 ads; mix in a second seed
+    full = generate_instance(GeneratorConfig(num_ads=7, num_slots=3, seed=41))
+    calls = [
+        (inst, seed)
+        for seed in (0, 5)
+        for inst in (full, full.without(full.ids[0]), full.without(full.ids[3]))
+    ]
+    cold = []
+    for inst, seed in calls:
+        _seeded_block.cache_clear()
+        cold.append(_colored_key(colored_ads(inst, iterations=12, seed=seed)))
+    _seeded_block.cache_clear()
+    for _ in range(2):
+        warm = [_colored_key(colored_ads(inst, iterations=12, seed=seed)) for inst, seed in calls]
+        assert warm == cold
+    info = _seeded_block.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+    # the two leave-one-out instances share their key
+    assert info.hits >= 2
+
+
+def test_colored_ads_memo_keeps_only_the_rows_used():
+    inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=3, seed=42))
+    _seeded_block.cache_clear()
+    colored_ads(inst, iterations=12, seed=9)
+    block = _seeded_block(8, 3, 2048, 9, 0, 12)
+    assert _seeded_block.cache_info().hits == 1
+    assert block.shape == (12, 8)
+    full = draw_colorings(8, 3, 2048, np.random.default_rng((9, 0)))
+    np.testing.assert_array_equal(block, full[:12])
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
+
+
+def test_colored_ads_memo_key_ignores_values():
+    # same sizes and seed, different values: the draw is shared
+    inst = generate_instance(GeneratorConfig(num_ads=6, num_slots=2, seed=43))
+    other = inst.with_values({ad.id: 3.0 * ad.value + 1.0 for ad in inst.ads})
+    _seeded_block.cache_clear()
+    colored_ads(inst, iterations=12, seed=1)
+    colored_ads(other, iterations=12, seed=1)
+    info = _seeded_block.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

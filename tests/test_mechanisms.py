@@ -7,6 +7,7 @@ import pytest
 from cascade_auctions import (
     Ad,
     AuctionInstance,
+    IncompleteSolveError,
     NashCheck,
     SlotLadder,
     gsp_outcome,
@@ -195,6 +196,87 @@ def test_vcg_apdc_approximate_allocators_are_seeded(allocator):
     assert a == b
     assert a.allocator == allocator
     assert len(a.alloc.slots) == inst.num_slots
+
+
+# VCG-APDC outcomes recorded before the allocators memoized their seeded
+# draws; sharing the draws across reruns must not move them by a bit.
+# Criterion-06-shape instances (seed 606, trial t, mechanism seed t) under a
+# misreport scaling each bid by APDC_BID_SCALE.  Each case: allocation slots,
+# repr of every payment by ad id, repr of the true social welfare.
+APDC_BID_SCALE = (1.5, 0.5, 1.0, 0.8, 1.25, 0.3)
+APDC_GOLDEN = {
+    (0, 5, 4, "colored"): (
+        (3, 5, 2, 1),
+        {1: "0.004461379558603595", 2: "0.088291887464711", 3: "0.07942285412805328",
+         4: "1.1102230246251565e-16", 5: "0.10256716203775035"},
+        "0.6077501034437471",
+    ),
+    (0, 5, 4, "sorted"): (
+        (3, 5, 2),
+        {1: "1.1102230246251565e-16", 2: "0.09121042460694478", 3: "0.08318591974094991",
+         4: "-0.028263534342126584", 5: "0.10755350191345808"},
+        "0.604425876859942",
+    ),
+    # K = n: every leave-one-out instance has one slot fewer
+    (9, 3, 3, "colored"): (
+        (3, 1, 2),
+        {1: "0.012342273935819159", 2: "0.0", 3: "0.22219157914553733"},
+        "0.6473965248141527",
+    ),
+    (9, 3, 3, "sorted"): (
+        (3, 1, 2),
+        {1: "0.012342273935819159", 2: "0.0", 3: "0.22219157914553733"},
+        "0.6473965248141527",
+    ),
+    (11, 6, 2, "colored"): (
+        (5, 3),
+        {1: "0.0", 2: "0.0", 3: "0.09163702386961137", 4: "0.0",
+         5: "0.4423692450752065", 6: "0.0"},
+        "1.1324495525075824",
+    ),
+    (11, 6, 2, "sorted"): (
+        (5, 3),
+        {1: "0.0", 2: "0.0", 3: "0.09163702386961137", 4: "0.0",
+         5: "0.4423692450752065", 6: "0.0"},
+        "1.1324495525075824",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", APDC_GOLDEN, ids=lambda c: f"trial{c[0]}-{c[3]}")
+def test_vcg_apdc_outputs_match_recorded_values(case):
+    trial, n, k, allocator = case
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=606), trial)
+    assert (inst.num_ads, inst.num_slots) == (n, k)
+    bids = {ad.id: ad.value * s for ad, s in zip(inst.ads, APDC_BID_SCALE)}
+    kwargs = {"iterations": 12} if allocator == "colored" else {"order_count": 8}
+    # twice: the second outcome runs on warm caches
+    for _ in range(2):
+        out = vcg_apdc_outcome(inst, bids, allocator=allocator, seed=trial, **kwargs)
+        got = (
+            out.alloc.slots,
+            {aid: repr(p) for aid, p in sorted(out.payments.items())},
+            repr(out.social_welfare),
+        )
+        assert got == APDC_GOLDEN[case]
+
+
+def test_vcg_apdc_incomplete_exact_solve_is_an_error():
+    inst = generate_instance(GeneratorConfig(num_ads=30, num_slots=4, seed=1))
+    bids = truthful_profile(inst)
+    # too small for the reported instance itself
+    with pytest.raises(IncompleteSolveError) as info:
+        vcg_apdc_outcome(inst, bids, budget=10)
+    assert info.value.ad_ids == inst.ids and info.value.budget == 10
+    assert "budget of 10" in str(info.value)
+    # enough for the reported instance, not for a leave-one-out rerun
+    with pytest.raises(IncompleteSolveError) as info:
+        vcg_apdc_outcome(inst, bids, budget=100)
+    assert len(info.value.ad_ids) == inst.num_ads - 1
+    # a budget that suffices prices all 30 ads, past the 20-ad cap
+    out = vcg_apdc_outcome(inst, bids, budget=100_000)
+    assert len(out.alloc.slots) == inst.num_slots
+    assert min(out.utilities.values()) >= -1e-9
 
 
 def value_grid(ad: Ad, points: int = 11) -> np.ndarray:

@@ -114,6 +114,23 @@ def test_instance_lookup_and_views():
     assert cont.tolist() == [0.8, 0.0]
 
 
+def test_instance_arrays_built_once_and_read_only():
+    inst = load_instance(dump_instance(two_ad_instance()))
+    assert "_arrays" not in vars(inst)  # loading builds no arrays
+    before = repr(inst)
+    wv, cont = inst.arrays()
+    again = inst.arrays()
+    assert again[0] is wv and again[1] is cont
+    for arr in (wv, cont):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    # the cache is not part of the instance's identity
+    assert repr(inst) == before
+    fresh = load_instance(dump_instance(inst))
+    assert inst == fresh and hash(inst) == hash(fresh)
+
+
 def test_instance_without_and_restricted():
     inst = AuctionInstance(
         ads=(Ad(1, 1.0, 1.0, 0.5), Ad(2, 2.0, 0.5, 0.0), Ad(3, 1.0, 0.5, 0.5)),

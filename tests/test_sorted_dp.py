@@ -174,3 +174,51 @@ def test_natural_order_exact_when_all_factors_one():
         inst = generate_instance(cfg)
         res = sorted_ads(inst, natural_order(inst))
         assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+def _sorted_key(res):
+    return (repr(res.value), res.alloc.slots, res.order_index)
+
+
+def test_multi_order_memo_cold_and_warm_agree():
+    from cascade_auctions.sorted_dp import _random_orders
+
+    # a VCG outcome alternates between n and n-1 ads; mix in a second seed
+    full = generate_instance(GeneratorConfig(num_ads=7, num_slots=3, seed=44))
+    calls = [
+        (inst, seed, natural)
+        for seed in (0, 5)
+        for inst in (full, full.without(full.ids[0]), full.without(full.ids[3]))
+        for natural in (False, True)
+    ]
+    cold = []
+    for inst, seed, natural in calls:
+        _random_orders.cache_clear()
+        res = multi_order_approx(inst, order_count=8, seed=seed, include_natural=natural)
+        cold.append(_sorted_key(res))
+    _random_orders.cache_clear()
+    for _ in range(2):
+        warm = [
+            _sorted_key(multi_order_approx(inst, order_count=8, seed=seed, include_natural=natural))
+            for inst, seed, natural in calls
+        ]
+        assert warm == cold
+    info = _random_orders.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+    assert info.hits >= 2
+
+
+def test_cached_order_rows_are_random_orders():
+    from cascade_auctions.sorted_dp import _random_orders
+
+    inst = generate_instance(GeneratorConfig(num_ads=9, num_slots=3, seed=45))
+    _random_orders.cache_clear()
+    multi_order_approx(inst, order_count=6, seed=3, include_natural=False)
+    mat = _random_orders(9, 6, 3)
+    assert _random_orders.cache_info().hits == 1
+    ids = np.array(inst.ids)
+    for t, row in enumerate(mat):
+        assert tuple(ids[row].tolist()) == random_order(inst, seed=3, index=t)
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1
