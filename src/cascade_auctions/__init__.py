@@ -15,7 +15,6 @@ from .coloring import (
     colored_ads,
     colored_pass,
     default_iterations,
-    draw_coloring,
     draw_colorings,
     miss_probability_bound,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "decouple_bounds",
     "default_iterations",
     "dominates",
-    "draw_coloring",
     "draw_colorings",
     "dump_instance",
     "emit_report",

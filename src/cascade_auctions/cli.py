@@ -15,13 +15,7 @@ from dataclasses import asdict
 from .coloring import colored_ads
 from .counterexamples import catalog_names, lemma_instance, verify
 from .exact import solve_exact
-from .harness import (
-    THREADS_ENV_VAR,
-    GeneratorConfig,
-    emit_report,
-    generate_instance,
-    run_pipeline,
-)
+from .harness import GeneratorConfig, emit_report, generate_instance, run_pipeline
 from .mechanisms import gsp_outcome, vcg_apdc_outcome, vcg_pdc_outcome
 from .model import (
     AuctionError,
@@ -75,7 +69,6 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     pruned, report = prune_instance(
         instance,
         strategy=args.strategy,
-        use_fast=args.fast,
         discard_threshold=args.threshold,
     )
     if args.out_instance:
@@ -85,7 +78,6 @@ def _cmd_prune(args: argparse.Namespace) -> int:
         "surviving": list(report.surviving),
         "discarded": list(report.discarded),
         "iterations": report.iterations,
-        "fallbacks": report.fallbacks,
         "lambda_max": report.bound_used.lambda_max,
         "bound": report.bound_used.bound,
         "instance": None if args.out_instance else instance_to_dict(pruned),
@@ -184,7 +176,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         algorithms=tuple(args.algorithms.split(",")),
         trials=args.trials,
         reps=args.reps,
-        use_fast_prune=args.fast_prune,
     )
     emit_report(records, args.records, args.aggregate)
     bad = [
@@ -222,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--strategy", default="min",
                    choices=("min", "const-lambda", "decouple", "aggressive"))
-    p.add_argument("--fast", action="store_true",
-                   help="accepted for compatibility; pruning always uses the skyband counter")
     p.add_argument("--threshold", type=int, default=None,
                    help="dominator count that discards an ad (default: slot count)")
     p.add_argument("--out-instance", help="write the pruned instance JSON here")
@@ -273,13 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--algorithms", default="prune,exact,colored,sorted")
-    p.add_argument("--fast-prune", action="store_true",
-                   help="accepted for compatibility; pruning always uses the skyband counter")
     p.add_argument("--records", required=True, help="per-record CSV output path")
     p.add_argument("--aggregate", required=True, help="aggregate CSV output path")
     add_format(p)
     p.set_defaults(func=_cmd_bench)
-    parser.epilog = f"set {THREADS_ENV_VAR} to parallelize bench trials"
     return parser
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "ColoredResult",
     "default_iterations",
     "miss_probability_bound",
-    "draw_coloring",
     "draw_colorings",
     "colored_pass",
     "colored_ads",
@@ -112,52 +111,13 @@ def _surjection_table(num_ads: int, num_colors: int) -> tuple[tuple[int, ...], .
     return tuple(table)
 
 
-def draw_coloring(num_ads: int, num_colors: int, rng: np.random.Generator) -> np.ndarray:
-    """One coloring, uniform over those using every color at least once.
-
-    Small instances are sampled ad by ad with exact conditional
-    probabilities from the surjection counts; once n is comfortably above
-    the coupon-collector regime, plain rejection is cheaper and draws from
-    the same distribution.
-    """
-    if num_colors < 1:
-        raise ValueError("need at least one color")
-    if num_ads < num_colors:
-        raise ValueError(
-            f"cannot color {num_ads} ads onto {num_colors} colors surjectively"
-        )
-
-    # past the coupon-collector regime rejection rarely loops
-    if num_ads >= 3 * num_colors + 8:
-        for _ in range(100):
-            colors = rng.integers(1, num_colors + 1, size=num_ads)
-            if len(np.unique(colors)) == num_colors:
-                return colors.astype(np.int64)
-        # astronomically unlikely here; fall through to the exact sampler
-
-    table = _surjection_table(num_ads, num_colors)
-    unused = list(range(1, num_colors + 1))
-    used: list[int] = []
-    colors = np.empty(num_ads, dtype=np.int64)
-    for pos in range(num_ads):
-        n = num_ads - pos
-        u = len(unused)
-        p_new = u * table[n - 1][u - 1] / table[n][u] if u else 0.0
-        if rng.random() < p_new:
-            pick = int(rng.integers(0, u))
-            color = unused.pop(pick)
-            used.append(color)
-        else:
-            color = used[int(rng.integers(0, len(used)))]
-        colors[pos] = color
-    return colors
-
-
 @lru_cache(maxsize=None)
 def _new_color_probabilities(num_ads: int, num_colors: int) -> np.ndarray:
     """P[i, s]: chance ad i gets a fresh color when s colors are in use.
 
-    Same conditional probabilities as draw_coloring, tabulated as floats.
+    Under the uniform law over colorings that use every color, ad i takes
+    one of the u = K - s unused colors with probability u * A[m-1][u-1] /
+    A[m][u], m = n - i being the ads left, tabulated here as floats.
     States with more colors missing than ads left are unreachable; they
     get 1.0 so vectorized gathers stay finite.
     """
@@ -182,10 +142,11 @@ def _draw_colorings_chain(
 ) -> np.ndarray:
     """Vectorized conditional-chain sampler; one rng, ``count`` rows.
 
-    Which positions introduce a fresh color, and which earlier color a
-    repeat copies, have label-free probabilities, so the chain runs on
-    counts alone; actual labels then come from one uniform permutation per
-    row.  The joint law matches draw_coloring exactly.
+    Draws ad by ad with the exact conditional probabilities of the uniform
+    law over colorings that use every color.  Which positions introduce a
+    fresh color, and which earlier color a repeat copies, have label-free
+    probabilities, so the chain runs on counts alone; actual labels then
+    come from one uniform permutation per row.
     """
     probs = _new_color_probabilities(num_ads, num_colors)
     used = np.zeros(count, dtype=np.int64)
@@ -204,10 +165,12 @@ def _draw_colorings_chain(
 def draw_colorings(
     num_ads: int, num_colors: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``count`` independent colorings, each distributed as draw_coloring.
+    """``count`` independent colorings, one row each, in colors 1..K.
 
-    Batched counterpart used by colored_ads; vectorized rejection in the
-    same regime where draw_coloring rejects, the chain sampler otherwise.
+    Each row is uniform over the colorings of the ads that use every color
+    at least once.  Past the coupon-collector regime (n >= 3K + 8) plain
+    rejection rarely loops and is cheaper; below it the exact conditional
+    chain draws them.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")

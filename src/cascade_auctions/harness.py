@@ -10,14 +10,13 @@ ten slots.
 
 Everything is reproducible: trial t of a run with seed s generates its
 instance from a generator seeded with (s, t), and algorithm seeds are
-derived from (s, t) as well, so reruns are byte-identical.
+derived from (s, t) as well, so reruns are byte-identical.  Trials run
+one after another, so each record times one trial alone.
 """
 from __future__ import annotations
 
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,12 +35,9 @@ __all__ = [
     "generate_instance",
     "run_pipeline",
     "emit_report",
-    "THREADS_ENV_VAR",
 ]
 
 DEFAULT_SLOT_FACTORS = (1.0, 0.71, 0.56, 0.53, 0.49, 0.47, 0.44, 0.44, 0.43, 0.43)
-
-THREADS_ENV_VAR = "CASCADE_AUCTIONS_THREADS"
 
 _ALGORITHMS = ("prune", "exact", "colored", "sorted")
 
@@ -146,17 +142,13 @@ def run_pipeline(
     colored_iterations: int | None = None,
     order_count: int | None = None,
     include_named_orders: bool = True,
-    use_fast_prune: bool = False,
 ) -> list[BenchRecord]:
     """Generate, prune, and measure each requested algorithm per trial.
 
     The reference for ratios is the exact value when the branch and bound
     finished within budget on the pruned instance, otherwise the best
-    value any algorithm produced for that trial.  Trials run in parallel
-    when the thread-count environment variable asks for it; output order
-    is deterministic regardless.  ``use_fast_prune`` is accepted for
-    compatibility and changes nothing: pruning always counts with the
-    skyband filter.
+    value any algorithm produced for that trial.  Trials run one after
+    another, in trial order.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
@@ -168,7 +160,7 @@ def run_pipeline(
         instance = generate_instance(config, trial)
         algo_seed = config.seed * 1_000_003 + trial
         prune_time, (pruned, report) = _timed(
-            lambda: prune_instance(instance, use_fast=use_fast_prune), reps
+            lambda: prune_instance(instance), reps
         )
 
         values: dict[str, float] = {}
@@ -260,16 +252,9 @@ def run_pipeline(
                 )
         return records
 
-    threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(one_trial, range(trials)))
-    else:
-        per_trial = [one_trial(t) for t in range(trials)]
-
     out: list[BenchRecord] = []
-    for recs in per_trial:
-        out.extend(recs)
+    for trial in range(trials):
+        out.extend(one_trial(trial))
     return out
 
 

@@ -18,9 +18,10 @@ true model.
   truthful reporting a dominant strategy for every allocator choice.
   Individual rationality and nonnegative payments are only guaranteed
   with the exact allocator, and an exact rerun whose node budget runs out
-  is an error, not a payment.
+  is an error, not a payment.  With the exact allocator only the winners
+  are rerun: a loser pays exactly 0.0.
 
-The N+1 reruns of one outcome, and the outcomes an equilibrium check
+The reruns of one outcome, and the outcomes an equilibrium check
 builds for each deviation, all use one seed on at most two ad counts.
 The approximate allocators memoize their colorings and orders on (sizes,
 seed), so those reruns draw them once.  That sharing rests on the same
@@ -237,10 +238,16 @@ def vcg_apdc_outcome(
     randomness of the approximate allocators depends only on (seed, ad
     set), never on bids, which preserves dominant-strategy truthfulness.
 
+    With the exact allocator an ad the optimum leaves out pays exactly
+    0.0 and is not rerun: without it the optimal allocation is still
+    feasible and still optimal, so its Clarke payment is zero.  The
+    approximate allocators rerun every ad, since their range depends on
+    the ad set.
+
     Raises:
         IncompleteSolveError: an exact solve, of the reported instance or
-            of a leave-one-out instance, exhausted ``budget``; its best
-            allocation so far would not give VCG payments.
+            of a winner's leave-one-out instance, exhausted ``budget``;
+            its best allocation so far would not give VCG payments.
     """
     if allocator not in _APDC_ALLOCATORS:
         raise ValueError(f"allocator must be one of {_APDC_ALLOCATORS}, got {allocator!r}")
@@ -268,6 +275,8 @@ def vcg_apdc_outcome(
 
     payments = {ad.id: 0.0 for ad in instance.ads}
     for ad in instance.ads:
+        if allocator == "exact" and ad.id not in alloc.slots:
+            continue
         reduced = _truncated(reported, ad.id)
         best_without = 0.0
         if reduced is not None:

@@ -121,8 +121,10 @@ class DominanceReport:
     survivor it is the exact count in the final round.  For a discarded ad
     it is the number of dominators the skyband filter found in the round
     that dropped it: a lower bound on the exact count, at least the discard
-    threshold.  ``used_fast`` echoes the ``use_fast`` argument, which has
-    no effect; ``fallbacks`` is always 0.
+    threshold.
+
+    ``fallbacks`` is always 0.  It stays because the benchmark's tracer
+    reads it from every report.
     """
 
     dom_counts: dict[int, int]
@@ -130,7 +132,6 @@ class DominanceReport:
     discarded: tuple[int, ...]
     bound_used: DominanceParams
     iterations: int
-    used_fast: bool
     fallbacks: int
 
 
@@ -464,7 +465,8 @@ def prune_instance(
     threshold) is discarded; bounds and counts are then recomputed on the
     shrunk instance until a fixpoint.  The optimum of the reduced instance
     equals the optimum of the original.  Each round counts with the skyband
-    scan; ``use_fast`` is accepted for compatibility and changes nothing.
+    scan.  ``use_fast`` changes nothing; it is still accepted because the
+    benchmark's workloads pass it.
     """
     k = instance.num_slots
     threshold = k if discard_threshold is None else discard_threshold
@@ -493,7 +495,6 @@ def prune_instance(
         discarded=tuple(discarded),
         bound_used=params,
         iterations=iterations,
-        used_fast=use_fast,
         fallbacks=0,
     )
     return current, report

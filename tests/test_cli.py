@@ -75,7 +75,7 @@ def test_prune_writes_instance_file(tmp_path, capsys):
     out_path = tmp_path / "pruned.json"
     code, out, err = run_cli(
         capsys, "prune", "--input", str(path),
-        "--fast", "--strategy", "aggressive",
+        "--strategy", "aggressive",
         "--out-instance", str(out_path),
     )
     assert code == 0

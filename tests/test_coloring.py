@@ -15,7 +15,6 @@ from cascade_auctions import (
     colored_ads,
     colored_pass,
     default_iterations,
-    draw_coloring,
     draw_colorings,
     enumerate_all,
     miss_probability_bound,
@@ -76,32 +75,9 @@ def test_new_color_probabilities_boundaries():
     assert np.all((probs >= 0.0) & (probs <= 1.0))
 
 
-def test_draw_coloring_valid_and_seeded():
-    rng = np.random.default_rng(5)
-    for num_ads, num_colors in [(3, 3), (5, 3), (7, 2), (20, 3)]:
-        colors = draw_coloring(num_ads, num_colors, rng)
-        assert colors.shape == (num_ads,)
-        assert colors.min() >= 1 and colors.max() <= num_colors
-        assert len(np.unique(colors)) == num_colors
-    a = draw_coloring(6, 3, np.random.default_rng(9))
-    b = draw_coloring(6, 3, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("num_ads,num_colors", [(3, 0), (2, 3), (0, 1)])
-def test_draw_coloring_rejects_bad_shapes(num_ads, num_colors):
-    with pytest.raises(ValueError):
-        draw_coloring(num_ads, num_colors, np.random.default_rng(0))
-
-
-def test_draw_coloring_uniform_over_surjections():
-    rng = np.random.default_rng(0)
-    rows = [draw_coloring(5, 3, rng) for _ in range(30000)]
-    # df = 149, mean 149, three sigma ~ 201; observed ~ 126
-    assert chi_square_5_3(rows) < 200.0
-
-
 def test_draw_colorings_same_law_as_scalar():
+    # uniform over the 150 surjective colorings of 5 ads onto 3 colors:
+    # df = 149, mean 149, three sigma ~ 201
     rows = draw_colorings(5, 3, 30000, np.random.default_rng(1))
     assert chi_square_5_3(rows) < 200.0
 
@@ -134,6 +110,8 @@ def test_draw_colorings_validates_arguments():
         draw_colorings(3, 0, 5, rng)
     with pytest.raises(ValueError):
         draw_colorings(2, 3, 5, rng)
+    with pytest.raises(ValueError):
+        draw_colorings(0, 1, 5, rng)
     with pytest.raises(ValueError):
         draw_colorings(5, 3, -1, rng)
 
@@ -184,9 +162,7 @@ def best_with_distinct_colors(instance, coloring) -> float:
 @pytest.mark.parametrize("seed", range(8))
 def test_colored_pass_matches_filtered_enumeration(seed):
     inst = generate_instance(GeneratorConfig(num_ads=7, num_slots=3, seed=seed))
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        coloring = draw_coloring(7, 3, rng)
+    for coloring in draw_colorings(7, 3, 4, np.random.default_rng(seed)):
         res = colored_pass(inst, coloring)
         assert res.value == pytest.approx(
             best_with_distinct_colors(inst, coloring), rel=1e-12

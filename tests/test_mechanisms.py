@@ -170,6 +170,20 @@ def test_vcg_apdc_exact_is_individually_rational_truthful(seed):
         assert out.payments[aid] >= -1e-9
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_vcg_apdc_exact_losers_pay_exactly_zero(seed):
+    # a loser's Clarke payment is zero; a leave-one-out solve minus the
+    # reported one gives -4.44e-16 for every loser at seed 2
+    inst = generate_instance(GeneratorConfig(num_ads=60, num_slots=5, seed=seed))
+    out = vcg_apdc_outcome(inst, truthful_profile(inst), budget=2_000_000)
+    winners = set(out.alloc.slots)
+    for aid, pay in out.payments.items():
+        if aid in winners:
+            assert pay > 0.0
+        else:
+            assert repr(pay) == "0.0"
+
+
 @pytest.mark.parametrize("mechanism", [
     gsp_outcome,
     vcg_pdc_outcome,

@@ -321,7 +321,10 @@ def test_prune_preserves_optimum(use_fast, strategy):
         pruned, report = prune_instance(inst, strategy=strategy, use_fast=use_fast)
         assert brute_optimum(pruned) == brute_optimum(inst)  # exact float equality
         assert set(report.surviving) | set(report.discarded) == set(inst.ids)
-        assert report.used_fast is use_fast
+        # use_fast is inert: the other setting prunes identically
+        other, other_report = prune_instance(inst, strategy=strategy, use_fast=not use_fast)
+        assert other == pruned
+        assert other_report == report
 
 
 def test_prune_is_idempotent():
