@@ -134,7 +134,9 @@ def _cmd_mech(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     with open(args.bids) as fh:
         raw = json.load(fh)
-    bids = {int(k): float(v) for k, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.bids}: bids must be a JSON object mapping ad ids to bids")
+    bids = {int(k): v for k, v in raw.items()}
     if args.mechanism == "gsp":
         outcome = gsp_outcome(instance, bids, rank_by_quality=args.rank_by_quality)
     elif args.mechanism == "vcg-pdc":

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .model import (
     Allocation,
     AuctionInstance,
@@ -65,6 +67,12 @@ def enumerate_all(instance: AuctionInstance) -> Iterator[tuple[Allocation, float
             yield alloc, social_welfare(instance, alloc)
 
 
+def _dominator_masks(dom: np.ndarray) -> list[int]:
+    """Column j of the boolean matrix as an int: bit i is set when dom[i, j]."""
+    packed = np.packbits(dom, axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
+
+
 def solve_exact(
     instance: AuctionInstance,
     budget: int | None = None,
@@ -90,18 +98,10 @@ def solve_exact(
     ub = decouple_bounds(instance)
     ids = [ad.id for ad in instance.ads]
 
-    dom = _dominance_matrix(instance, choose_bound(instance, "min"))
-    dominator_mask = [0] * n
-    for j in range(n):
-        mask = 0
-        for i in range(n):
-            if dom[i, j]:
-                mask |= 1 << i
-        dominator_mask[j] = mask
+    dominator_mask = _dominator_masks(_dominance_matrix(instance, choose_bound(instance, "min")))
 
     by_id = sorted(range(n), key=lambda i: ids[i])
     pos_of = {aid: i for i, aid in enumerate(ids)}
-    heuristic = [pos_of[aid] for aid in natural_order(instance)]
 
     best_value = float("-inf")
     best_seq: list[int] | None = None
@@ -162,7 +162,7 @@ def solve_exact(
     if n <= _SINGLE_PASS_CAP and warm_start is None:
         search(by_id, target=None)
     else:
-        search(heuristic, target=None)
+        search([pos_of[aid] for aid in natural_order(instance)], target=None)
         if not exhausted and best_seq is not None:
             hit = search(by_id, target=best_value)
             if hit is not None:

@@ -41,6 +41,8 @@ DEFAULT_SLOT_FACTORS = (1.0, 0.71, 0.56, 0.53, 0.49, 0.47, 0.44, 0.44, 0.43, 0.4
 
 _ALGORITHMS = ("prune", "exact", "colored", "sorted")
 
+_EXACT_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -138,12 +140,12 @@ def run_pipeline(
     trials: int = 1,
     reps: int = 5,
     exact_cap: int = 25,
-    exact_budget: int = 2_000_000,
-    colored_iterations: int | None = None,
-    order_count: int | None = None,
-    include_named_orders: bool = True,
 ) -> list[BenchRecord]:
     """Generate, prune, and measure each requested algorithm per trial.
+
+    Algorithms run with their defaults on the pruned instance; sorted also
+    tries both natural orders, and exact (on at most ``exact_cap`` ads)
+    gets 2,000,000 nodes and the sorted allocation as warm start.
 
     The reference for ratios is the exact value when the branch and bound
     finished within budget on the pruned instance, otherwise the best
@@ -168,14 +170,11 @@ def run_pipeline(
 
         sorted_result = None
         if "sorted" in algorithms or "exact" in algorithms:
-            extra = (reverse_natural_order(pruned),) if include_named_orders else ()
             t, sorted_result = _timed(
                 lambda: multi_order_approx(
                     pruned,
-                    order_count=order_count,
                     seed=algo_seed,
-                    extra_orders=extra,
-                    include_natural=include_named_orders,
+                    extra_orders=(reverse_natural_order(pruned),),
                 ),
                 reps,
             )
@@ -185,9 +184,7 @@ def run_pipeline(
 
         if "colored" in algorithms:
             t, colored_result = _timed(
-                lambda: colored_ads(
-                    pruned, iterations=colored_iterations, seed=algo_seed
-                ),
+                lambda: colored_ads(pruned, seed=algo_seed),
                 reps,
             )
             times["colored"] = t
@@ -197,59 +194,45 @@ def run_pipeline(
         if "exact" in algorithms and pruned.num_ads <= exact_cap:
             warm = sorted_result.alloc.slots if sorted_result is not None else None
             t0 = time.perf_counter()
-            res = solve_exact(pruned, budget=exact_budget, warm_start=warm)
+            res = solve_exact(pruned, budget=_EXACT_BUDGET, warm_start=warm)
             times["exact"] = time.perf_counter() - t0
             values["exact"] = res.best_value
             exact_complete = res.complete
             if res.complete and instance.num_ads <= 12:
-                unpruned = solve_exact(instance, budget=exact_budget)
+                unpruned = solve_exact(instance, budget=_EXACT_BUDGET)
                 if unpruned.complete and abs(unpruned.best_value - res.best_value) > 1e-9:
                     raise RuntimeError(
                         f"pruning changed the optimum on trial {trial}: "
                         f"{unpruned.best_value} vs {res.best_value}"
                     )
 
-        if values:
-            if exact_complete:
-                reference = values["exact"]
-            else:
-                reference = max(values.values())
-        else:
-            reference = None
-
+        reference = values["exact"] if exact_complete else max(values.values(), default=None)
         records = []
         for algo in algorithms:
             if algo == "prune":
-                records.append(
-                    BenchRecord(
-                        algorithm="prune",
-                        trial=trial,
-                        num_ads=instance.num_ads,
-                        num_slots=instance.num_slots,
-                        seed=config.seed,
-                        wall_time_s=prune_time,
-                        value=None,
-                        ratio=None,
-                        surviving=pruned.num_ads,
-                        complete=None,
-                    )
+                measured = dict(
+                    wall_time_s=prune_time, value=None, ratio=None, surviving=pruned.num_ads, complete=None
                 )
             elif algo in values:
-                ratio = values[algo] / reference if reference else None
-                records.append(
-                    BenchRecord(
-                        algorithm=algo,
-                        trial=trial,
-                        num_ads=instance.num_ads,
-                        num_slots=instance.num_slots,
-                        seed=config.seed,
-                        wall_time_s=times[algo],
-                        value=values[algo],
-                        ratio=ratio,
-                        surviving=None,
-                        complete=exact_complete if algo == "exact" else None,
-                    )
+                measured = dict(
+                    wall_time_s=times[algo],
+                    value=values[algo],
+                    ratio=values[algo] / reference if reference else None,
+                    surviving=None,
+                    complete=exact_complete if algo == "exact" else None,
                 )
+            else:
+                continue
+            records.append(
+                BenchRecord(
+                    algorithm=algo,
+                    trial=trial,
+                    num_ads=instance.num_ads,
+                    num_slots=instance.num_slots,
+                    seed=config.seed,
+                    **measured,
+                )
+            )
         return records
 
     out: list[BenchRecord] = []

@@ -29,6 +29,7 @@ fact as truthfulness: the draws never depend on a bid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -114,9 +115,15 @@ def _check_bids(instance: AuctionInstance, bids: BidProfile) -> dict[int, float]
     for ad in instance.ads:
         if ad.id not in bids:
             raise ValueError(f"bid profile is missing ad {ad.id}")
-        b = float(bids[ad.id])
-        if not b >= 0.0:
-            raise ValueError(f"bid for ad {ad.id} must be nonnegative, got {b}")
+        raw = bids[ad.id]
+        try:
+            if isinstance(raw, (bool, str)):
+                raise TypeError
+            b = float(raw)
+        except (TypeError, OverflowError):
+            raise ValueError(f"bid for ad {ad.id} must be a number that fits a float, got {raw!r}") from None
+        if not 0.0 <= b < math.inf:
+            raise ValueError(f"bid for ad {ad.id} must be finite and nonnegative, got {b}")
         profile[ad.id] = b
     if len(bids) != instance.num_ads:
         extra = set(bids) - set(profile)
@@ -228,7 +235,6 @@ def vcg_apdc_outcome(
     iterations: int | None = None,
     order_count: int | None = None,
     budget: int | None = None,
-    hard_cap: int = 20,
 ) -> MechanismOutcome:
     """VCG with the full cascade model as the declared model.
 
@@ -256,7 +262,7 @@ def vcg_apdc_outcome(
 
     def run(inst: AuctionInstance) -> tuple[Allocation, float]:
         if allocator == "exact":
-            res = solve_exact(inst, budget=budget, hard_cap=hard_cap)
+            res = solve_exact(inst, budget=budget)
             if not res.complete:
                 raise IncompleteSolveError(inst.ids, budget)
             return res.best_alloc, res.best_value

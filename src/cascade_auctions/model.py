@@ -164,14 +164,15 @@ class AuctionInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ads", tuple(self.ads))
-        ids = [ad.id for ad in self.ads]
-        if len(set(ids)) != len(ids):
-            raise InstanceFormatError("ad ids must be distinct")
+        index = {ad.id: i for i, ad in enumerate(self.ads)}
+        if len(index) != len(self.ads):
+            repeated = next(ad.id for i, ad in enumerate(self.ads) if index[ad.id] != i)
+            raise InstanceFormatError(f"ads: duplicate ad id {repeated}")
         if len(self.ads) < self.ladder.num_slots:
             raise InstanceFormatError(
-                f"need at least as many ads as slots, got {len(self.ads)} ads for {self.ladder.num_slots} slots"
+                f"ads: need at least as many ads as slots, got {len(self.ads)} ads for {self.ladder.num_slots} slots"
             )
-        object.__setattr__(self, "_index", {ad.id: i for i, ad in enumerate(self.ads)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def num_ads(self) -> int:
@@ -295,56 +296,57 @@ def social_welfare(instance: AuctionInstance, alloc: Allocation) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# JSON round-tripping.
-#
-# Schema:
-#   { "K": int, "lambdas": [float, ...], "ads": [ {"id": int, "v": float,
-#     "q": float, "c": float}, ... ] }
-# "lambdas" may list K or K-1 factors; a missing last factor is stored as 0.
-# ---------------------------------------------------------------------------
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InstanceFormatError(msg)
+def _number(x: Any, path: str, *args: object) -> float:
+    """``float(x)`` for an int or float that is not a bool; ``path.format(*args)`` names ``x`` in an error."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            raise InstanceFormatError(f"{path.format(*args)}: integer too large for a float") from None
+    raise InstanceFormatError(f"{path.format(*args)}: must be a number, got {x!r}")
 
 
 def instance_from_dict(doc: Any) -> AuctionInstance:
-    _require(isinstance(doc, dict), "top-level document must be an object")
+    """Builds an instance from a parsed JSON document of the README's schema.
+
+    Only the document's shape and field types are checked here; ``Ad``,
+    ``SlotLadder`` and ``AuctionInstance`` check the values (ranges, factor
+    count, distinct ids, at least K ads).  Each error message starts with
+    the path of the bad element, e.g. ``lambdas[2]``, ``ads[3].v``, ``ads[3]``.
+    """
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("top-level document must be an object")
     for key in ("K", "lambdas", "ads"):
-        _require(key in doc, f"missing required field '{key}'")
+        if key not in doc:
+            raise InstanceFormatError(f"{key}: missing required field")
     k = doc["K"]
-    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1, f"K: must be an integer >= 1, got {k!r}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InstanceFormatError(f"K: must be an integer >= 1, got {k!r}")
     lambdas = doc["lambdas"]
-    _require(isinstance(lambdas, list), "lambdas: must be an array")
-    for i, f in enumerate(lambdas):
-        _require(isinstance(f, (int, float)) and not isinstance(f, bool), f"lambdas[{i}]: must be a number, got {f!r}")
-        _require(0.0 <= float(f) <= 1.0, f"lambdas[{i}]: must be within [0, 1], got {f}")
-    ladder = SlotLadder.from_factors(lambdas, num_slots=k)
+    if not isinstance(lambdas, list):
+        raise InstanceFormatError("lambdas: must be an array")
+    factors = [_number(f, "lambdas[{}]", i) for i, f in enumerate(lambdas)]
+    ladder = SlotLadder.from_factors(factors, num_slots=k)
     raw_ads = doc["ads"]
-    _require(isinstance(raw_ads, list), "ads: must be an array")
+    if not isinstance(raw_ads, list):
+        raise InstanceFormatError("ads: must be an array")
     ads = []
-    seen: set[int] = set()
     for i, entry in enumerate(raw_ads):
-        _require(isinstance(entry, dict), f"ads[{i}]: must be an object")
-        for fld in ("id", "v", "q", "c"):
-            _require(fld in entry, f"ads[{i}]: missing field '{fld}'")
-        aid = entry["id"]
-        _require(isinstance(aid, int) and not isinstance(aid, bool), f"ads[{i}].id: must be an integer, got {aid!r}")
-        _require(aid not in seen, f"ads[{i}].id: duplicate id {aid}")
-        seen.add(aid)
-        for fld in ("v", "q", "c"):
-            val = entry[fld]
-            _require(
-                isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"ads[{i}].{fld}: must be a number, got {val!r}",
-            )
-        _require(float(entry["v"]) >= 0, f"ads[{i}].v: must be >= 0, got {entry['v']}")
-        _require(0.0 <= float(entry["q"]) <= 1.0, f"ads[{i}].q: must be within [0, 1], got {entry['q']}")
-        _require(0.0 <= float(entry["c"]) <= 1.0, f"ads[{i}].c: must be within [0, 1], got {entry['c']}")
-        ads.append(Ad(aid, float(entry["v"]), float(entry["q"]), float(entry["c"])))
-    _require(len(ads) >= k, f"ads: need at least K={k} ads, got {len(ads)}")
+        if not isinstance(entry, dict):
+            raise InstanceFormatError(f"ads[{i}]: must be an object")
+        try:
+            aid, v, q, c = entry["id"], entry["v"], entry["q"], entry["c"]
+        except KeyError as exc:
+            raise InstanceFormatError(f"ads[{i}].{exc.args[0]}: missing required field") from None
+        if not isinstance(aid, int) or isinstance(aid, bool):
+            raise InstanceFormatError(f"ads[{i}].id: must be an integer, got {aid!r}")
+        v = _number(v, "ads[{}].v", i)
+        q = _number(q, "ads[{}].q", i)
+        c = _number(c, "ads[{}].c", i)
+        try:
+            ads.append(Ad(aid, v, q, c))
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"ads[{i}]: {exc}") from None
     return AuctionInstance(tuple(ads), ladder)
 
 
@@ -365,10 +367,12 @@ def dump_instance(instance: AuctionInstance) -> str:
 
 
 def load_instance(text: str) -> AuctionInstance:
-    """Parses the JSON schema, raising InstanceFormatError with a field path
-    (or the parser's line/column) on any violation."""
+    """Parses the JSON schema, raising InstanceFormatError with the parser's
+    line/column, or with a field path (see ``instance_from_dict``)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InstanceFormatError(f"invalid JSON: {exc}") from None
     return instance_from_dict(doc)

@@ -190,6 +190,43 @@ def test_mech_rejects_incomplete_bids(tmp_path, capsys):
     assert "missing" in err
 
 
+def test_mech_rejects_bids_that_are_not_an_object(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    bids_path = tmp_path / "bids.json"
+    bids_path.write_text(json.dumps([1.0, 2.0]))
+    code, out, err = run_cli(
+        capsys, "mech", "--input", str(path), "--bids", str(bids_path),
+        "--mechanism", "gsp",
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_mech_rejects_bid_too_large_for_a_float(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    inst = load_instance(path.read_text())
+    bids = {str(ad.id): ad.value for ad in inst.ads}
+    bids["1"] = 10**400
+    bids_path = tmp_path / "bids.json"
+    bids_path.write_text(json.dumps(bids))
+    code, out, err = run_cli(
+        capsys, "mech", "--input", str(path), "--bids", str(bids_path),
+        "--mechanism", "gsp",
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_solve_rejects_value_too_large_for_a_float(tmp_path, capsys):
+    doc = json.loads(write_instance(tmp_path).read_text())
+    doc["ads"][0]["v"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "--input", str(path), "--algo", "exact")
+    assert code == 1
+    assert err.startswith("error: ads[0]")
+
+
 def test_verify_lemma_green(capsys):
     code, out, err = run_cli(capsys, "verify-lemma", "--name", "gsp-sw-pos")
     assert code == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from cascade_auctions import (
@@ -15,6 +16,7 @@ from cascade_auctions import (
     social_welfare,
     solve_exact,
 )
+from cascade_auctions.exact import _dominator_masks
 from cascade_auctions.harness import GeneratorConfig, generate_instance
 from conftest import blocker_tie_instance, brute_best_lex, brute_optimum, two_ad_instance
 
@@ -104,6 +106,13 @@ def test_solve_exact_zero_budget_returns_empty():
     assert res.best_alloc.slots == ()
     assert res.best_value == 0.0
     assert res.nodes_explored == 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 40, 100])
+def test_dominator_masks_match_bit_loop(n):
+    dom = np.random.default_rng(n).random((n, n)) < 0.3
+    expected = [sum(1 << i for i in range(n) if dom[i, j]) for j in range(n)]
+    assert _dominator_masks(dom) == expected
 
 
 def test_solve_exact_two_phase_path_matches_small_oracle():

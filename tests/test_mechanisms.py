@@ -1,6 +1,8 @@
 """Mechanisms: GSP, declared-model VCG, full-model VCG, Nash grid checks."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ def test_gsp_last_rank_pays_zero():
     ({1: 4.0, 2: 3.0}, "missing"),
     ({1: 4.0, 2: 3.0, 3: -0.5}, "nonnegative"),
     ({1: 4.0, 2: 3.0, 3: 1.0, 9: 1.0}, "unknown"),
+    ({1: True, 2: 3.0, 3: 1.0}, "ad 1 must be a number"),
+    ({1: 4.0, 2: "0.5", 3: 1.0}, "ad 2 must be a number"),
+    ({1: 4.0, 2: 3.0, 3: None}, "ad 3 must be a number"),
+    ({1: 10**400, 2: 3.0, 3: 1.0}, "ad 1 must be a number that fits a float"),
+    ({1: 4.0, 2: math.inf, 3: 1.0}, "ad 2 must be finite"),
+    ({1: 4.0, 2: 3.0, 3: math.nan}, "ad 3 must be finite and nonnegative"),
 ])
 def test_bid_profile_validation(bids, message):
     inst = gsp_instance()

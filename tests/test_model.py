@@ -232,6 +232,18 @@ def test_json_round_trip():
     assert instance_from_dict(instance_to_dict(inst)) == inst
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"K": 1,', "invalid JSON at line 1"),
+        ('{"K": 1' + "0" * 5000 + "}", "invalid JSON"),  # past the int digit limit
+    ],
+)
+def test_load_instance_rejects_bad_json(text, message):
+    with pytest.raises(InstanceFormatError, match=message):
+        load_instance(text)
+
+
 def test_json_schema_shape():
     doc = json.loads(dump_instance(two_ad_instance()))
     assert doc["K"] == 2
@@ -239,16 +251,109 @@ def test_json_schema_shape():
     assert doc["ads"][0] == {"id": 1, "v": 1.0, "q": 1.0, "c": 0.8}
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        {"K": 2, "ads": []},
-        {"K": 0, "lambdas": [], "ads": []},
-        {"K": 1, "lambdas": [0.5], "ads": [{"id": 1, "v": 1.0, "q": 0.5}]},
-        {"K": 1, "lambdas": [0.5], "ads": "nope"},
-    ],
-)
-def test_json_rejects_malformed(doc):
-    with pytest.raises(InstanceFormatError):
+def valid_doc() -> dict:
+    return {
+        "K": 2,
+        "lambdas": [0.5, 0.0],
+        "ads": [
+            {"id": 1, "v": 1.0, "q": 0.5, "c": 0.5},
+            {"id": 2, "v": 2.0, "q": 1.0, "c": 0.8},
+        ],
+    }
+
+
+MISSING = object()
+
+
+def doc_with(key, value):
+    """valid_doc() with one top-level field replaced, or dropped if MISSING."""
+    doc = valid_doc()
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+def ad_with(field, value, i=0):
+    """valid_doc() with one field of ads[i] replaced, or dropped if MISSING."""
+    doc = valid_doc()
+    if value is MISSING:
+        del doc["ads"][i][field]
+    else:
+        doc["ads"][i][field] = value
+    return doc
+
+
+HUGE = 10**400  # a JSON integer literal too large for a float
+
+
+MALFORMED = [
+    ({}, "K:"),
+    ({"K": 2, "ads": []}, "lambdas:"),
+    ({"K": 0, "lambdas": [], "ads": []}, "K:"),
+    ({"K": 1, "lambdas": [0.5], "ads": [{"id": 1, "v": 1.0, "q": 0.5}]}, "ads[0].c:"),
+    ({"K": 1, "lambdas": [0.5], "ads": "nope"}, "ads:"),
+    # document shape
+    ([], "top-level document"),
+    (doc_with("K", MISSING), "K:"),
+    (doc_with("ads", MISSING), "ads:"),
+    (doc_with("K", "2"), "K:"),
+    (doc_with("K", 2.0), "K:"),
+    (doc_with("K", True), "K:"),
+    (doc_with("K", -1), "K:"),
+    (doc_with("lambdas", "0.5"), "lambdas:"),
+    (doc_with("lambdas", {"0": 0.5}), "lambdas:"),
+    (doc_with("ads", {"0": {}}), "ads:"),
+    # slot factors
+    (doc_with("lambdas", ["0.5", 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [0.5, True]), "lambdas[1]:"),
+    (doc_with("lambdas", [None, 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [1.5, 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [0.5, -0.1]), "lambdas[1]:"),
+    (doc_with("lambdas", [math.nan, 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [math.inf, 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [HUGE, 0.0]), "lambdas[0]:"),
+    (doc_with("lambdas", [0.5, 0.5, 0.5]), "lambdas:"),
+    (doc_with("lambdas", []), "lambdas:"),
+    # ads: shape and types
+    (doc_with("ads", [[1, 1.0, 0.5, 0.5], [2, 2.0, 1.0, 0.8]]), "ads[0]:"),
+    (doc_with("ads", [{"id": 1, "v": 1.0, "q": 0.5, "c": 0.5}, None]), "ads[1]:"),
+    (ad_with("id", MISSING), "ads[0].id:"),
+    (ad_with("v", MISSING), "ads[0].v:"),
+    (ad_with("q", MISSING, i=1), "ads[1].q:"),
+    (ad_with("c", MISSING), "ads[0].c:"),
+    (ad_with("id", "1"), "ads[0].id:"),
+    (ad_with("id", 1.0), "ads[0].id:"),
+    (ad_with("id", True), "ads[0].id:"),
+    (ad_with("v", "1.0"), "ads[0].v:"),
+    (ad_with("v", True), "ads[0].v:"),
+    (ad_with("v", None), "ads[0].v:"),
+    (ad_with("v", [1.0]), "ads[0].v:"),
+    (ad_with("q", "0.5"), "ads[0].q:"),
+    (ad_with("q", False), "ads[0].q:"),
+    (ad_with("c", "0.5", i=1), "ads[1].c:"),
+    (ad_with("c", True), "ads[0].c:"),
+    (ad_with("v", HUGE), "ads[0].v:"),
+    (ad_with("q", -HUGE), "ads[0].q:"),
+    # ads: values, checked by Ad and reported with the ad's path
+    (ad_with("v", -1.0), "ads[0]:"),
+    (ad_with("v", math.nan), "ads[0]:"),
+    (ad_with("v", math.inf), "ads[0]:"),
+    (ad_with("q", 1.5, i=1), "ads[1]:"),
+    (ad_with("q", -0.1), "ads[0]:"),
+    (ad_with("q", math.nan), "ads[0]:"),
+    (ad_with("c", 1.5), "ads[0]:"),
+    (ad_with("c", -0.5), "ads[0]:"),
+    (ad_with("c", math.nan), "ads[0]:"),
+    # ads: the set, checked by AuctionInstance
+    (ad_with("id", 1, i=1), "ads:"),
+    ({"K": 2, "lambdas": [0.5], "ads": [{"id": 1, "v": 1.0, "q": 0.5, "c": 0.5}]}, "ads:"),
+]
+
+
+@pytest.mark.parametrize("doc,path_prefix", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))])
+def test_json_rejects_malformed(doc, path_prefix):
+    with pytest.raises(InstanceFormatError) as excinfo:
         instance_from_dict(doc)
+    assert str(excinfo.value).startswith(path_prefix)
