@@ -136,6 +136,9 @@ def _cmd_mech(args: argparse.Namespace) -> int:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{args.bids}: bids must be a JSON object mapping ad ids to bids")
+    for key in raw:  # only str(ad_id) names an ad, so "01" or " 1" cannot alias ad 1
+        if not (key.removeprefix("-").isdecimal() and str(int(key)) == key):
+            raise ValueError(f"{args.bids}: bid key {key!r} is not an ad id")
     bids = {int(k): v for k, v in raw.items()}
     if args.mechanism == "gsp":
         outcome = gsp_outcome(instance, bids, rank_by_quality=args.rank_by_quality)

@@ -75,12 +75,15 @@ class Ad:
     continuation: float
 
     def __post_init__(self) -> None:
-        if self.value < 0 or not math.isfinite(self.value):
-            raise InstanceFormatError(f"ad {self.id}: value must be finite and >= 0, got {self.value}")
-        if not 0.0 <= self.quality <= 1.0:
-            raise InstanceFormatError(f"ad {self.id}: quality must be within [0, 1], got {self.quality}")
-        if not 0.0 <= self.continuation <= 1.0:
-            raise InstanceFormatError(f"ad {self.id}: continuation must be within [0, 1], got {self.continuation}")
+        try:
+            if self.value < 0 or not math.isfinite(self.value):
+                raise InstanceFormatError(f"ad {self.id}: value must be finite and >= 0, got {self.value}")
+            if not 0.0 <= self.quality <= 1.0:
+                raise InstanceFormatError(f"ad {self.id}: quality must be within [0, 1], got {self.quality}")
+            if not 0.0 <= self.continuation <= 1.0:
+                raise InstanceFormatError(f"ad {self.id}: continuation must be within [0, 1], got {self.continuation}")
+        except (TypeError, OverflowError) as exc:
+            raise InstanceFormatError(f"ad {self.id}: fields must be numbers that fit a float ({exc})") from None
 
     @property
     def weighted_value(self) -> float:
@@ -101,12 +104,15 @@ class SlotLadder:
     factors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) == 0:
             raise InstanceFormatError("ladder must have at least one slot")
         for i, f in enumerate(self.factors):
-            if not 0.0 <= f <= 1.0:
-                raise InstanceFormatError(f"lambdas[{i}]: factor must be within [0, 1], got {f}")
+            try:
+                if not 0.0 <= f <= 1.0:
+                    raise InstanceFormatError(f"lambdas[{i}]: factor must be within [0, 1], got {f}")
+            except TypeError:
+                raise InstanceFormatError(f"lambdas[{i}]: factor must be a number, got {f!r}") from None
+        object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
 
     @classmethod
     def from_factors(cls, factors: Iterable[float], num_slots: int | None = None) -> "SlotLadder":
@@ -115,7 +121,7 @@ class SlotLadder:
         When K-1 factors are supplied for K slots the missing last factor is
         set to 0 (the scan cannot continue past the last slot).
         """
-        fs = [float(f) for f in factors]
+        fs = list(factors)
         if num_slots is not None:
             if len(fs) == num_slots - 1:
                 fs.append(0.0)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Ad, AuctionError, AuctionInstance
-from .sorted_dp import _dp_table
+from .sorted_dp import _dp_rows
 
 __all__ = [
     "DominanceTieError",
@@ -166,14 +166,13 @@ def const_lambda_bound(instance: AuctionInstance) -> float:
     """Exact optimum of the relaxation where every slot factor is lambda_max.
 
     Raising each factor to the maximum can only increase welfare, and the
-    constant-factor problem is solved exactly by the order-restricted DP on
-    ads sorted by descending wv / (1 - lambda_max * c).
+    constant-factor problem is solved exactly by sorted_dp's take-or-skip
+    kernel on ads sorted by descending wv / (1 - lambda_max * c).
     """
     lam = instance.ladder.max_factor
-    k = instance.num_slots
     wv, cont = instance.arrays()
     order = _const_lambda_order(wv, cont, instance.ids, lam)
-    return _dp_table(wv[order].tolist(), cont[order].tolist(), (lam,) * (k - 1), k)[0][0]
+    return float(_dp_rows(wv[order], cont[order], (lam,) * (instance.num_slots - 1))[0, 0])
 
 
 def decouple_bounds(instance: AuctionInstance) -> np.ndarray:

@@ -7,6 +7,15 @@ allocation under *any* order recovers at least half the optimum, and
 sorting by weighted value over (1 - continuation) is exactly optimal when
 all slot factors are 1.
 
+One kernel, _dp_rows, serves sorted_ads, the batch of orders and the
+constant-lambda prune bound.  best_s[i], the best value of ads i.. in slots
+s..K with the prominence at slot s taken as 1, is filled slot by slot from
+the bottom: take_s[i] = wv_i + (c_i * lambda_s) * best_{s+1}[i+1] (take_K[i]
+= wv_i), and best_s is the running maximum of take_s from the right, ties
+taking the ad.  Each take is the float expression of a scan that fills one
+ad at a time, and max is exact, so every entry equals that scan's (kept in
+the tests as the reference) bit for bit, in any batch.
+
 The random orders are a pure function of (ad count, order count, seed):
 no value or bid enters them.  multi_order_approx therefore memoizes the
 order matrix in a small cache.  A VCG mechanism reruns the allocator once
@@ -108,30 +117,27 @@ def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
     return out
 
 
-def _check_order(instance: AuctionInstance, order: Sequence[int]) -> None:
-    if len(order) != instance.num_ads or set(order) != set(instance.ids):
+def _order_indices(instance: AuctionInstance, order: Sequence[int]) -> np.ndarray:
+    """Ad-array index of each id in ``order``, which must list every ad once."""
+    index = {aid: i for i, aid in enumerate(instance.ids)}
+    if len(order) != len(index) or set(order) != index.keys():
         raise InvalidAllocationError("order must be a permutation of the instance's ad ids")
+    return np.array([index[aid] for aid in order], dtype=np.int64)
 
 
-def _dp_table(wv: list[float], cont: list[float], lam: Sequence[float], k: int) -> list[list[float]]:
-    """Take-or-skip table for ads listed in scan order, O(N*K).
+def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> np.ndarray:
+    """Table ``best[s-1, i]`` = best_s[i] (module docstring) for ads along axis 0.
 
-    table[i][s-1] is the best value using ads i.. in slots s..K, with the
-    prominence at slot s taken as 1; ``lam`` holds the slot factors.
+    ``lam`` holds the K-1 factors of slots with a slot below them; trailing
+    axes of ``wv`` and ``cont`` hold independent orders.  Row K is 0.
     """
-    n = len(wv)
-    table = [[0.0] * (k + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = table[i]
-        nxt = table[i + 1]
-        w, c = wv[i], cont[i]
-        skip = nxt[k - 1]
-        row[k - 1] = w if w >= skip else skip  # the last slot: nothing below
-        for s in range(k - 1, 0, -1):
-            take = w + (c * lam[s - 1]) * nxt[s]
-            skip = nxt[s - 1]
-            row[s - 1] = take if take >= skip else skip
-    return table
+    k = len(lam) + 1
+    best = np.zeros((k + 1, wv.shape[0] + 1) + wv.shape[1:])
+    for s in range(k, 0, -1):
+        take = wv if s == k else wv + (cont * lam[s - 1]) * best[s, 1:]
+        # maximum returns its second argument on a tie, so ties take the ad
+        np.maximum.accumulate(take[::-1], axis=0, out=best[s - 1, -2::-1])
+    return best
 
 
 def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResult:
@@ -140,49 +146,38 @@ def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResul
     Take-or-skip DP over (position in order, next free slot); O(N*K).
     Ties prefer taking the current ad.
     """
-    _check_order(instance, order)
-    n = instance.num_ads
-    k = instance.num_slots
-    lam = instance.ladder.effective_factors
-    picked = [instance.ad(aid) for aid in order]
-    wv = [ad.weighted_value for ad in picked]
-    cont = [ad.continuation for ad in picked]
-    table = _dp_table(wv, cont, lam, k)
-
+    idx = _order_indices(instance, order)
+    lam = instance.ladder.effective_factors  # the last factor is 0.0
+    wv, cont = (a[idx] for a in instance.arrays())
+    best = _dp_rows(wv, cont, lam[:-1])
+    # slot s takes ad i when take_s[i] >= best_s[i+1].  In the last row this
+    # computes wv + (c * 0.0) * 0.0 for take_K = wv: at most the sign of a
+    # zero differs, which no comparison sees.
+    takes = wv + (cont * np.array(lam)[:, None]) * best[1:, 1:] >= best[:-1, 1:]
     chosen: list[int] = []
-    i, s = 0, 1
-    while i < n and s <= k:
-        if s == k:
-            take = wv[i]
-        else:
-            take = wv[i] + (cont[i] * lam[s - 1]) * table[i + 1][s]
-        if take >= table[i + 1][s - 1]:
-            chosen.append(order[i])
-            s += 1
-        i += 1
-    return SortedDpResult(value=table[0][0], alloc=Allocation(tuple(chosen)))
+    pos = 0
+    while pos < len(order) and len(chosen) < len(lam):
+        pos += int(np.argmax(takes[len(chosen), pos:]))  # the first ad from pos on
+        chosen.append(order[pos])
+        pos += 1
+    return SortedDpResult(value=float(best[0, 0]), alloc=Allocation(tuple(chosen)))
+
+
+# table entries per block of orders in _dp_values_batch: 1 MB at any T
+_BATCH_BLOCK = 1 << 17
 
 
 def _dp_values_batch(instance: AuctionInstance, orders: np.ndarray) -> np.ndarray:
     """DP values for many orders at once; orders is (T, N) of ad-array indices."""
     t, n = orders.shape
-    k = instance.num_slots
-    lam = np.array(instance.ladder.effective_factors, dtype=float)
+    lam = instance.ladder.effective_factors[:-1]
     wv_all, cont_all = instance.arrays()
-    wv = wv_all[orders]      # (T, N)
-    cont = cont_all[orders]  # (T, N)
-
-    nxt = np.zeros((t, k + 1), dtype=float)
-    for i in range(n - 1, -1, -1):
-        row = np.empty_like(nxt)
-        row[:, k] = 0.0
-        take_last = wv[:, i]
-        row[:, k - 1] = np.maximum(take_last, nxt[:, k - 1])
-        if k > 1:
-            take = wv[:, i, None] + (cont[:, i, None] * lam[None, : k - 1]) * nxt[:, 1:k]
-            row[:, : k - 1] = np.maximum(take, nxt[:, : k - 1])
-        nxt = row
-    return nxt[:, 0]
+    rows = max(1, _BATCH_BLOCK // ((instance.num_slots + 1) * (n + 1)))
+    values = np.empty(t)
+    for start in range(0, t, rows):
+        block = orders[start : start + rows].T  # (N, rows): ads along axis 0
+        values[start : start + rows] = _dp_rows(wv_all[block], cont_all[block], lam)[0, 0]
+    return values
 
 
 def multi_order_approx(
@@ -207,15 +202,11 @@ def multi_order_approx(
         raise NoOrdersError("order_count must be >= 0")
 
     order_mat = _random_orders(instance.num_ads, order_count, seed)
-    named = list(extra_orders)
-    for extra in named:
-        _check_order(instance, extra)
+    named = [_order_indices(instance, extra) for extra in extra_orders]
     if include_natural:
-        named.append(natural_order(instance))
+        named.append(_order_indices(instance, natural_order(instance)))
     if named:
-        id_to_idx = {aid: i for i, aid in enumerate(instance.ids)}
-        named_mat = np.array([[id_to_idx[a] for a in o] for o in named], dtype=np.int64)
-        order_mat = np.vstack([order_mat, named_mat])
+        order_mat = np.vstack([order_mat, *named])
     if not len(order_mat):
         raise NoOrdersError("no orders to evaluate: pass order_count > 0 or extra orders")
 

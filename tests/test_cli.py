@@ -217,6 +217,23 @@ def test_mech_rejects_bid_too_large_for_a_float(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "abc"])
+def test_mech_rejects_bid_keys_that_are_not_ad_ids(tmp_path, capsys, key):
+    path = write_instance(tmp_path)
+    inst = load_instance(path.read_text())
+    bids = {str(ad.id): ad.value for ad in inst.ads}
+    bids[key] = 2.0
+    bids_path = tmp_path / "bids.json"
+    bids_path.write_text(json.dumps(bids))
+    code, out, err = run_cli(
+        capsys, "mech", "--input", str(path), "--bids", str(bids_path),
+        "--mechanism", "gsp",
+    )
+    assert code == 1
+    assert err.startswith(f"error: {bids_path}: ")
+    assert repr(key) in err
+
+
 def test_solve_rejects_value_too_large_for_a_float(tmp_path, capsys):
     doc = json.loads(write_instance(tmp_path).read_text())
     doc["ads"][0]["v"] = 10**400

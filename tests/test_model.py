@@ -40,10 +40,13 @@ def test_ad_weighted_value():
         dict(value=1.0, quality=-0.1, continuation=0.5),
         dict(value=1.0, quality=0.5, continuation=1.1),
         dict(value=1.0, quality=0.5, continuation=-0.5),
+        dict(value=10**400, quality=0.5, continuation=0.5),
+        dict(value=1.0, quality="0.5", continuation=0.5),
+        dict(value=1.0, quality=0.5, continuation=None),
     ],
 )
 def test_ad_validation(kwargs):
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError, match="^ad 1: "):
         Ad(1, **kwargs)
 
 
@@ -72,10 +75,13 @@ def test_ladder_max_factor():
     assert SlotLadder.from_factors([0.9], 1).max_factor == 0.0
 
 
-@pytest.mark.parametrize("factors", [[], [1.2], [-0.1], [math.nan]])
+@pytest.mark.parametrize("factors", [[], [1.2], [-0.1], [math.nan], [0.5, 10**400], [0.5, "x"], [0.5, None]])
 def test_ladder_validation(factors):
-    with pytest.raises(InstanceFormatError):
+    path = r"^lambdas\[1\]: " if len(factors) > 1 else None
+    with pytest.raises(InstanceFormatError, match=path):
         SlotLadder.from_factors(factors)
+    with pytest.raises(InstanceFormatError, match=path):
+        SlotLadder(tuple(factors))
 
 
 def test_ladder_factor_count_mismatch():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,16 +154,134 @@ def test_multi_order_never_exceeds_oracle():
         assert res.value <= brute_optimum(inst) + 1e-9
 
 
-def test_batch_dp_matches_scalar():
+def scalar_table(wv, cont, lam, k):
+    """The take-or-skip table filled one ad at a time, the reference for the kernel.
+
+    table[i][s-1] is the best value using ads i.. in slots s..K, with the
+    prominence at slot s taken as 1; ``lam`` holds the slot factors.
+    """
+    n = len(wv)
+    table = [[0.0] * (k + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = table[i]
+        nxt = table[i + 1]
+        w, c = wv[i], cont[i]
+        skip = nxt[k - 1]
+        row[k - 1] = w if w >= skip else skip  # the last slot: nothing below
+        for s in range(k - 1, 0, -1):
+            take = w + (c * lam[s - 1]) * nxt[s]
+            skip = nxt[s - 1]
+            row[s - 1] = take if take >= skip else skip
+    return table
+
+
+def scalar_sorted_ads(wv, cont, lam, k):
+    """(value, chosen positions) by the scalar table and its backtrack."""
+    table = scalar_table(wv, cont, lam, k)
+    chosen = []
+    i, s = 0, 1
+    while i < len(wv) and s <= k:
+        if s == k:
+            take = wv[i]
+        else:
+            take = wv[i] + (cont[i] * lam[s - 1]) * table[i + 1][s]
+        if take >= table[i + 1][s - 1]:
+            chosen.append(i)
+            s += 1
+        i += 1
+    return table[0][0], chosen
+
+
+def _grid_instance(rng, n, k, values, qualities, continuations, factors):
+    """n ads and k slots whose fields are drawn from the given short lists."""
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    ads = tuple(Ad(i + 1, pick(values), pick(qualities), pick(continuations)) for i in range(n))
+    return AuctionInstance(ads, SlotLadder.from_factors([pick(factors) for _ in range(k)], k))
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20)
+    yield pytest.param([
+        generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=seed))
+        for seed, (n, k) in enumerate([(1, 1), (2, 2), (5, 3), (11, 5), (30, 4), (60, 10)] * 3)
+    ], id="generated")
+    # few distinct values, so takes tie skips and equal ads tie each other
+    yield pytest.param([
+        _grid_instance(rng, 2 + t % 8, 2, [1.0, 2.0], [0.5, 1.0], [0.0, 0.5], [0.5, 1.0])
+        for t in range(40)
+    ], id="ties")
+    yield pytest.param([
+        _grid_instance(rng, 3 + t % 6, 1 + t % 3, [0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+        for t in range(60)
+    ], id="signed zeros")
+    yield pytest.param([
+        _grid_instance(rng, 8, 4, [0.5, 1.0, 3.0], [0.3, 1.0], [1.0], [1.0]) for _ in range(10)
+    ], id="continuation and factor 1")
+    yield pytest.param([
+        generate_instance(GeneratorConfig(num_ads=n, num_slots=1, seed=n)) for n in (1, 2, 9)
+    ], id="one slot")
+    yield pytest.param([
+        generate_instance(GeneratorConfig(num_ads=k, num_slots=k, seed=k)) for k in (1, 3, 6)
+    ], id="as many ads as slots")
+
+
+@pytest.mark.parametrize("instances", _kernel_cases())
+def test_dp_matches_scalar_scan(instances):
+    from cascade_auctions.prune import _const_lambda_order, const_lambda_bound
     from cascade_auctions.sorted_dp import _dp_values_batch
 
-    inst = generate_instance(GeneratorConfig(num_ads=11, num_slots=5, seed=9))
-    id_to_idx = {aid: i for i, aid in enumerate(inst.ids)}
-    orders = [random_order(inst, seed=11, index=t) for t in range(40)]
-    mat = np.array([[id_to_idx[a] for a in o] for o in orders], dtype=np.int64)
+    rng = np.random.default_rng(11)
+    for inst in instances:
+        wv, cont = inst.arrays()
+        k = inst.num_slots
+        lam = inst.ladder.effective_factors
+        ids = np.array(inst.ids)
+        mat = np.array([rng.permutation(inst.num_ads) for _ in range(12)], dtype=np.int64)
+        batch = _dp_values_batch(inst, mat)
+        for row, got in zip(mat, batch):
+            value, chosen = scalar_sorted_ads(wv[row].tolist(), cont[row].tolist(), lam, k)
+            res = sorted_ads(inst, tuple(ids[row].tolist()))
+            assert repr(float(got)) == repr(value)
+            assert repr(res.value) == repr(value)
+            assert res.alloc.slots == tuple(ids[row[chosen]].tolist())
+        order = _const_lambda_order(wv, cont, inst.ids, inst.ladder.max_factor)
+        bound = scalar_table(wv[order].tolist(), cont[order].tolist(), (inst.ladder.max_factor,) * (k - 1), k)[0][0]
+        assert repr(const_lambda_bound(inst)) == repr(bound)
+
+
+def test_batch_dp_matches_scalar_across_blocks():
+    from cascade_auctions.sorted_dp import _BATCH_BLOCK, _dp_values_batch
+
+    inst = generate_instance(GeneratorConfig(num_ads=200, num_slots=4, seed=9))
+    rows = _BATCH_BLOCK // ((4 + 1) * (200 + 1))
+    t = 2 * rows + rows // 3
+    assert t > rows and t % rows
+    mat = np.array([np.random.default_rng((9, i)).permutation(200) for i in range(t)], dtype=np.int64)
+    wv, cont = inst.arrays()
+    lam = inst.ladder.effective_factors
     batch = _dp_values_batch(inst, mat)
-    for o, v in zip(orders, batch):
-        assert sorted_ads(inst, o).value == v  # bitwise, same op order
+    for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, t - 1):
+        want = scalar_table(wv[mat[i]].tolist(), cont[mat[i]].tolist(), lam, 4)[0][0]
+        assert repr(float(batch[i])) == repr(want), i
+
+
+def test_batch_dp_never_builds_the_order_by_ad_matrix():
+    from cascade_auctions.sorted_dp import _dp_values_batch
+
+    # a (T, N) float array alone would take 16 MB
+    inst = generate_instance(GeneratorConfig(num_ads=1000, num_slots=10, seed=1))
+    orders = np.argsort(np.random.default_rng(1).random((2000, 1000)), axis=1)
+    inst.arrays()
+    tracemalloc.start()
+    try:
+        values = _dp_values_batch(inst, orders)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (2000,)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_natural_order_exact_when_all_factors_one():
