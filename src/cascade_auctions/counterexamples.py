@@ -466,8 +466,6 @@ _CATALOG: dict[str, Callable[..., LemmaInstance]] = {
     "vcgpd-rev-pos-noovb": _vcgpd_rev_pos_noovb,
 }
 
-_PARAMETERIZED_BY_EPS = ("gsp-sw-poa-ovb", "gsp-rev-poa")
-
 
 def catalog_names() -> tuple[str, ...]:
     return tuple(_CATALOG)

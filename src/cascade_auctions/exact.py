@@ -27,8 +27,8 @@ from .model import (
     InstanceTooLargeError,
     social_welfare,
 )
-from .prune import _dominance_matrix, choose_bound, decouple_bounds
-from .sorted_dp import natural_order
+from .prune import _dominance_matrix, _min_params, decouple_bounds
+from .sorted_dp import _density_order
 
 __all__ = ["OracleResult", "enumerate_all", "solve_exact"]
 
@@ -84,7 +84,8 @@ def solve_exact(
     Without an explicit node ``budget``, instances above ``hard_cap`` ads
     are rejected rather than silently running for hours.  ``warm_start``
     (an allocation's id sequence) seeds the incumbent; its value is
-    recomputed here so the bound arithmetic stays consistent.
+    recomputed here so the bound arithmetic stays consistent, and an
+    unknown id raises InvalidAllocationError.
     """
     n = instance.num_ads
     k = instance.num_slots
@@ -98,17 +99,17 @@ def solve_exact(
     ub = decouple_bounds(instance)
     ids = [ad.id for ad in instance.ads]
 
-    dominator_mask = _dominator_masks(_dominance_matrix(instance, choose_bound(instance, "min")))
+    dominator_mask = _dominator_masks(_dominance_matrix(instance, _min_params(instance, ub)))
 
     by_id = sorted(range(n), key=lambda i: ids[i])
-    pos_of = {aid: i for i, aid in enumerate(ids)}
 
     best_value = float("-inf")
     best_seq: list[int] | None = None
     if warm_start is not None:
-        seq = [pos_of[aid] for aid in warm_start]
+        # social_welfare rejects an unknown id, a repeat or too many ads
         best_value = social_welfare(instance, Allocation(tuple(warm_start)))
-        best_seq = seq
+        pos_of = {aid: i for i, aid in enumerate(ids)}
+        best_seq = [pos_of[aid] for aid in warm_start]
 
     nodes = 0
     exhausted = False
@@ -162,7 +163,7 @@ def solve_exact(
     if n <= _SINGLE_PASS_CAP and warm_start is None:
         search(by_id, target=None)
     else:
-        search([pos_of[aid] for aid in natural_order(instance)], target=None)
+        search(_density_order(instance, 1.0).tolist(), target=None)
         if not exhausted and best_seq is not None:
             hit = search(by_id, target=best_value)
             if hit is not None:

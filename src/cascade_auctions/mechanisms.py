@@ -40,6 +40,7 @@ from .model import (
     AuctionError,
     AuctionInstance,
     SlotLadder,
+    _shown,
     ctr,
     social_welfare,
 )
@@ -121,7 +122,7 @@ def _check_bids(instance: AuctionInstance, bids: BidProfile) -> dict[int, float]
                 raise TypeError
             b = float(raw)
         except (TypeError, OverflowError):
-            raise ValueError(f"bid for ad {ad.id} must be a number that fits a float, got {raw!r}") from None
+            raise ValueError(f"bid for ad {ad.id} must be a number that fits a float, got {_shown(raw)}") from None
         if not 0.0 <= b < math.inf:
             raise ValueError(f"bid for ad {ad.id} must be finite and nonnegative, got {b}")
         profile[ad.id] = b

@@ -57,6 +57,26 @@ class InstanceTooLargeError(AuctionError):
     """The instance exceeds a size cap for an exhaustive computation."""
 
 
+def _shown(x: Any) -> str:
+    """A short repr of a rejected value: a huge int would print every digit."""
+    if isinstance(x, int) and x.bit_length() > 1024:
+        return "an integer too large for a float"
+    text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _check_field(x: Any, where: str, hi: float = 1.0) -> None:
+    """Raises InstanceFormatError starting with ``where`` unless x is a
+    number in [0, hi] that fits a finite float."""
+    try:
+        ok = 0.0 <= x <= hi and math.isfinite(x)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        rule = "a finite number >= 0" if hi == math.inf else f"a number within [0, {hi:g}]"
+        raise InstanceFormatError(f"{where} must be {rule}, got {_shown(x)}")
+
+
 @dataclass(frozen=True)
 class Ad:
     """A single ad with its private value and public user-model parameters.
@@ -75,15 +95,17 @@ class Ad:
     continuation: float
 
     def __post_init__(self) -> None:
+        # ads are built by the thousand, so one cheap test comes first and
+        # _check_field only runs to name the first bad field
         try:
-            if self.value < 0 or not math.isfinite(self.value):
-                raise InstanceFormatError(f"ad {self.id}: value must be finite and >= 0, got {self.value}")
-            if not 0.0 <= self.quality <= 1.0:
-                raise InstanceFormatError(f"ad {self.id}: quality must be within [0, 1], got {self.quality}")
-            if not 0.0 <= self.continuation <= 1.0:
-                raise InstanceFormatError(f"ad {self.id}: continuation must be within [0, 1], got {self.continuation}")
-        except (TypeError, OverflowError) as exc:
-            raise InstanceFormatError(f"ad {self.id}: fields must be numbers that fit a float ({exc})") from None
+            ok = (self.value >= 0.0 and math.isfinite(self.value)
+                  and 0.0 <= self.quality <= 1.0 and 0.0 <= self.continuation <= 1.0)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            _check_field(self.value, f"ad {self.id}: value", math.inf)
+            _check_field(self.quality, f"ad {self.id}: quality")
+            _check_field(self.continuation, f"ad {self.id}: continuation")
 
     @property
     def weighted_value(self) -> float:
@@ -105,13 +127,9 @@ class SlotLadder:
 
     def __post_init__(self) -> None:
         if len(self.factors) == 0:
-            raise InstanceFormatError("ladder must have at least one slot")
+            raise InstanceFormatError("lambdas: a ladder needs at least one slot")
         for i, f in enumerate(self.factors):
-            try:
-                if not 0.0 <= f <= 1.0:
-                    raise InstanceFormatError(f"lambdas[{i}]: factor must be within [0, 1], got {f}")
-            except TypeError:
-                raise InstanceFormatError(f"lambdas[{i}]: factor must be a number, got {f!r}") from None
+            _check_field(f, f"lambdas[{i}]: factor")
         object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
 
     @classmethod

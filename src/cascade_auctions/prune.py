@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Ad, AuctionError, AuctionInstance
-from .sorted_dp import _dp_rows
+from .sorted_dp import _density_order, _dp_rows
 
 __all__ = [
     "DominanceTieError",
@@ -152,26 +152,16 @@ def dominates(a: Ad, b: Ad, params: DominanceParams) -> bool:
     return all(w_value(a, b, x, y) > 0.0 for x, y in params.corners)
 
 
-def _const_lambda_order(wv: np.ndarray, cont: np.ndarray, ids: tuple[int, ...], lam: float) -> np.ndarray:
-    """Ad indices by descending wv / (1 - lam * c); ads with no positive
-    denominator go first by descending wv; ties break by ascending id."""
-    denom = 1.0 - lam * cont
-    live = denom > 0.0
-    primary = np.where(live, -(wv / np.where(live, denom, 1.0)), -np.inf)
-    tie = np.where(live, 0.0, -wv)
-    return np.lexsort((ids, tie, primary))
-
-
 def const_lambda_bound(instance: AuctionInstance) -> float:
     """Exact optimum of the relaxation where every slot factor is lambda_max.
 
     Raising each factor to the maximum can only increase welfare, and the
     constant-factor problem is solved exactly by sorted_dp's take-or-skip
-    kernel on ads sorted by descending wv / (1 - lambda_max * c).
+    kernel over the value-density order at lambda_max (sorted_dp's kernel).
     """
     lam = instance.ladder.max_factor
     wv, cont = instance.arrays()
-    order = _const_lambda_order(wv, cont, instance.ids, lam)
+    order = _density_order(instance, lam)
     return float(_dp_rows(wv[order], cont[order], (lam,) * (instance.num_slots - 1))[0, 0])
 
 
@@ -213,7 +203,7 @@ def choose_bound(instance: AuctionInstance, strategy: str = "min") -> DominanceP
     elif strategy == "decouple":
         bound = float(decouple_bounds(instance)[0])
     elif strategy == "min":
-        bound = min(const_lambda_bound(instance), float(decouple_bounds(instance)[0]))
+        return _min_params(instance, decouple_bounds(instance))
     elif strategy == "aggressive":
         ub = decouple_bounds(instance)
         lam = instance.ladder.effective_factors
@@ -222,6 +212,11 @@ def choose_bound(instance: AuctionInstance, strategy: str = "min") -> DominanceP
     else:
         raise ValueError(f"unknown bound strategy {strategy!r}")
     return DominanceParams(lambda_max=lam_max, bound=bound)
+
+
+def _min_params(instance: AuctionInstance, ub: np.ndarray) -> DominanceParams:
+    """choose_bound's "min" rectangle, given ``ub = decouple_bounds(instance)``."""
+    return DominanceParams(instance.ladder.max_factor, min(const_lambda_bound(instance), float(ub[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,13 @@ Fixing a total order over the ads and only considering allocations that
 list ads in that order with no gaps makes the problem a simple
 take-or-skip dynamic program.  With a constant slot factor the best such
 allocation under *any* order recovers at least half the optimum, and
-sorting by weighted value over (1 - continuation) is exactly optimal when
-all slot factors are 1.
+the value-density order is exactly optimal when all slot factors are 1.
+
+The value-density order at a factor lambda lists ads by descending
+wv / (1 - lambda * c), ads with no positive denominator first, ties by
+ascending id.  One kernel, _density_order, serves natural_order, the
+natural row of multi_order_approx and exact's value pass (lambda = 1), and
+the constant-lambda prune bound (lambda_max).
 
 One kernel, _dp_rows, serves sorted_ads, the batch of orders and the
 constant-lambda prune bound.  best_s[i], the best value of ads i.. in slots
@@ -26,7 +31,6 @@ allocations a seed can reach never depends on what anyone bids.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -70,20 +74,19 @@ class SortedDpResult:
     order_index: int | None = None
 
 
-def _order_key(ad_value: float, denominator: float) -> float:
-    return math.inf if denominator <= 0.0 else ad_value / denominator
+def _density_order(instance: AuctionInstance, lam: float) -> np.ndarray:
+    """Ad-array indices in the value-density order at ``lam`` (module docstring)."""
+    wv, cont = instance.arrays()
+    denom = 1.0 - lam * cont
+    live = denom > 0.0
+    key = np.where(live, -(wv / np.where(live, denom, 1.0)), -np.inf)
+    return np.lexsort((instance.ids, key))
 
 
 def natural_order(instance: AuctionInstance) -> AdOrder:
-    """Ads by descending weighted_value / (1 - continuation).
-
-    Ads with continuation 1 get an infinite key.  Ties break by ascending id.
-    """
-    keyed = sorted(
-        instance.ads,
-        key=lambda ad: (-_order_key(ad.weighted_value, 1.0 - ad.continuation), ad.id),
-    )
-    return tuple(ad.id for ad in keyed)
+    """Ad ids in the value-density order at lambda = 1 (module docstring)."""
+    ids = instance.ids
+    return tuple(ids[i] for i in _density_order(instance, 1.0).tolist())
 
 
 def reverse_natural_order(instance: AuctionInstance) -> AdOrder:
@@ -204,7 +207,7 @@ def multi_order_approx(
     order_mat = _random_orders(instance.num_ads, order_count, seed)
     named = [_order_indices(instance, extra) for extra in extra_orders]
     if include_natural:
-        named.append(_order_indices(instance, natural_order(instance)))
+        named.append(_density_order(instance, 1.0))
     if named:
         order_mat = np.vstack([order_mat, *named])
     if not len(order_mat):

@@ -11,6 +11,7 @@ from cascade_auctions import (
     Allocation,
     AuctionInstance,
     InstanceTooLargeError,
+    InvalidAllocationError,
     SlotLadder,
     enumerate_all,
     social_welfare,
@@ -147,6 +148,16 @@ def test_solve_exact_warm_start_value_is_recomputed():
     assert not res.complete
     assert res.best_alloc.slots == start
     assert res.best_value == social_welfare(inst, Allocation(start))
+
+
+@pytest.mark.parametrize("start", [(999,), (1, 999), (1, 1), (1, 2, 3, 4)])
+def test_solve_exact_rejects_a_bad_warm_start(start):
+    # an unknown id is named in the error; a repeat or too many ads are
+    # rejected the same way
+    inst = generate_instance(GeneratorConfig(num_ads=6, num_slots=3, seed=5))
+    assert {1, 2, 3, 4} <= set(inst.ids) and 999 not in inst.ids
+    with pytest.raises(InvalidAllocationError, match="999" if 999 in start else None):
+        solve_exact(inst, warm_start=start)
 
 
 def test_solve_exact_budget_suffices_eventually():

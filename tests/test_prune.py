@@ -24,7 +24,8 @@ from cascade_auctions import (
     w_value,
 )
 from cascade_auctions.model import Allocation
-from cascade_auctions.prune import _PlaneCounter, _const_lambda_order, _fast_counts, rank_vectors
+from cascade_auctions.prune import _PlaneCounter, _fast_counts, rank_vectors
+from cascade_auctions.sorted_dp import _density_order
 from cascade_auctions.harness import GeneratorConfig, generate_instance
 from conftest import brute_optimum, two_ad_instance
 
@@ -430,10 +431,9 @@ def test_const_lambda_order_matches_sort_key():
     def key(ad):
         denom = 1.0 - lam * ad.continuation
         if denom <= 0.0:
-            return (-np.inf, -ad.weighted_value, ad.id)
-        return (-(ad.weighted_value / denom), 0.0, ad.id)
+            return (-np.inf, ad.id)
+        return (-(ad.weighted_value / denom), ad.id)
 
     want = tuple(ad.id for ad in sorted(inst.ads, key=key))
-    wv, cont = inst.arrays()
-    order = _const_lambda_order(wv, cont, inst.ids, lam)
+    order = _density_order(inst, lam)
     assert tuple(np.array(inst.ids)[order].tolist()) == want

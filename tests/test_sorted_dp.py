@@ -13,6 +13,7 @@ from cascade_auctions import (
     InvalidAllocationError,
     NoOrdersError,
     SlotLadder,
+    const_lambda_bound,
     enumerate_all,
     multi_order_approx,
     natural_order,
@@ -229,8 +230,7 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("instances", _kernel_cases())
 def test_dp_matches_scalar_scan(instances):
-    from cascade_auctions.prune import _const_lambda_order, const_lambda_bound
-    from cascade_auctions.sorted_dp import _dp_values_batch
+    from cascade_auctions.sorted_dp import _density_order, _dp_values_batch
 
     rng = np.random.default_rng(11)
     for inst in instances:
@@ -246,7 +246,7 @@ def test_dp_matches_scalar_scan(instances):
             assert repr(float(got)) == repr(value)
             assert repr(res.value) == repr(value)
             assert res.alloc.slots == tuple(ids[row[chosen]].tolist())
-        order = _const_lambda_order(wv, cont, inst.ids, inst.ladder.max_factor)
+        order = _density_order(inst, inst.ladder.max_factor)
         bound = scalar_table(wv[order].tolist(), cont[order].tolist(), (inst.ladder.max_factor,) * (k - 1), k)[0][0]
         assert repr(const_lambda_bound(inst)) == repr(bound)
 
@@ -293,6 +293,22 @@ def test_natural_order_exact_when_all_factors_one():
         inst = generate_instance(cfg)
         res = sorted_ads(inst, natural_order(inst))
         assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+def test_flat_ladder_bound_is_the_natural_order_dp():
+    # with every factor 1 the constant-lambda bound runs the same DP over
+    # the same order as sorted_ads on natural_order, so the two agree bit
+    # for bit, also when several ads with continuation 1 lead the order
+    rng = np.random.default_rng(15)
+    for t in range(40):
+        k = 2 + t % 7
+        ads = tuple(
+            Ad(i + 1, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 1.0)),
+               1.0 if rng.random() < 0.4 else float(rng.random()))
+            for i in range(k + 2 + t % 9)
+        )
+        inst = AuctionInstance(ads, SlotLadder.from_factors([1.0] * k, k))
+        assert repr(const_lambda_bound(inst)) == repr(sorted_ads(inst, natural_order(inst)).value), t
 
 
 def _sorted_key(res):
