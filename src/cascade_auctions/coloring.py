@@ -14,7 +14,9 @@ One numpy kernel runs the DP for a whole batch of colorings at once, with
 the 2^K color subsets on the first axis of its memo table.  No choice table
 is kept: the winning allocation is replayed from the winning pass's memo
 column, taking at each state the first ad whose value reproduces the memo
-entry exactly.  colored_pass is the same kernel on a batch of one.
+entry exactly.  colored_pass is the same kernel on a batch of one, and
+_leave_one_out_values runs it on the passes of every instance that drops
+one ad at once, for a VCG outcome's prices.
 
 The colorings of a batch are a pure function of (ads, colors, chunk,
 seed, batch index): no value or bid enters them.  colored_ads therefore
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Allocation, AuctionError, AuctionInstance
+from .model import Allocation, AuctionError, AuctionInstance, _leave_one_out_context
 
 __all__ = [
     "Coloring",
@@ -253,7 +255,9 @@ def _check_coloring(instance: AuctionInstance, coloring: Sequence[int]) -> np.nd
     return arr
 
 
-def _pass_memo(instance: AuctionInstance, colorings: np.ndarray) -> np.ndarray:
+def _pass_memo(
+    instance: AuctionInstance, colorings: np.ndarray, ads: np.ndarray | None = None
+) -> np.ndarray:
     """Subset DP of every coloring row at once.
 
     ``memo[s, r]`` is the best welfare of the last |s| slots using one ad
@@ -262,10 +266,15 @@ def _pass_memo(instance: AuctionInstance, colorings: np.ndarray) -> np.ndarray:
     candidate is ``wv + (c * lambda) * prev`` in that order of operations
     and the max over ads is exact, so a pass's column is the same, bit for
     bit, whatever batch it runs in; _backtrack relies on recomputing it.
+
+    Row r colors the instance's ads in order, or, given ``ads``, the ads
+    at indices ``ads[:, r]``.
     """
     wv, cont = instance.arrays()
-    wv = wv[:, None]
-    cont = cont[:, None]
+    if ads is None:
+        wv, cont = wv[:, None], cont[:, None]
+    else:
+        wv, cont = wv[ads], cont[ads]
     bits = np.left_shift(np.int64(1), colorings.T - 1)  # (n, rows)
     rows = bits.shape[1]
     lam_by_size = _lam_by_size(instance)
@@ -370,3 +379,55 @@ def colored_ads(
         iteration=best_index,
         iterations_run=done,
     )
+
+
+# memo and candidate entries per kernel call of _leave_one_out_values
+_LEAVE_ONE_OUT_BLOCK = 1 << 17
+
+
+def _leave_one_out_values(
+    instance: AuctionInstance,
+    iterations: int | None = None,
+    seed: int = 0,
+    chunk: int = 2048,
+) -> np.ndarray:
+    """Value of colored_ads without each ad, for every ad at once.
+
+    Entry j equals ``colored_ads(reduced, iterations, seed, chunk=chunk)
+    .value`` by repr, where ``reduced`` drops the ad at index j (see
+    model._leave_one_out_context); it is 0.0 when no ad remains.  Every
+    reduced instance colors its n-1 ads with the same memoized block, so
+    the block is read once per j through an index matrix that skips ad j:
+    each column sees the same ads, colors and factors as the reduced
+    instance's pass, and _pass_memo gives it the same floats in any batch.
+    Passes are compared as colored_ads compares them: the first maximum
+    within a batch, replaced only by a strictly larger one in a later
+    batch.  The columns of several j's share one kernel call, at most
+    about _LEAVE_ONE_OUT_BLOCK entries of memo and candidates.
+    """
+    n = instance.num_ads
+    if n == 1:
+        return np.zeros(1)
+    context = _leave_one_out_context(instance)
+    k = context.num_slots
+    if iterations is None:
+        iterations = default_iterations(k)
+    if iterations <= 0:
+        raise NoColoringsError("need at least one pass")
+    if chunk <= 0:
+        raise ValueError("chunk must be positive")
+
+    local = np.arange(n - 1)[:, None]
+    values = np.full(n, -math.inf)
+    for done in range(0, iterations, chunk):
+        take = min(chunk, iterations - done)
+        block = _seeded_block(n - 1, k, chunk, seed, done // chunk, take)
+        group = max(1, _LEAVE_ONE_OUT_BLOCK // (take * ((1 << k) + n)))
+        for start in range(0, n, group):
+            drop = np.arange(start, min(start + group, n))
+            ads = np.repeat(local + (local >= drop), take, axis=1)  # (n-1, group*take)
+            memo = _pass_memo(context, np.tile(block, (len(drop), 1)), ads)
+            last = memo[-1].reshape(len(drop), take)
+            best = last[np.arange(len(drop)), last.argmax(axis=1)]
+            values[drop] = np.where(best > values[drop], best, values[drop])
+    return values

@@ -97,7 +97,7 @@ def solve_exact(
     wv, cont = instance.arrays()
     prom = instance.ladder.prominences
     ub = decouple_bounds(instance)
-    ids = [ad.id for ad in instance.ads]
+    ids = instance.ids
 
     dominator_mask = _dominator_masks(_dominance_matrix(instance, _min_params(instance, ub)))
 
@@ -108,8 +108,7 @@ def solve_exact(
     if warm_start is not None:
         # social_welfare rejects an unknown id, a repeat or too many ads
         best_value = social_welfare(instance, Allocation(tuple(warm_start)))
-        pos_of = {aid: i for i, aid in enumerate(ids)}
-        best_seq = [pos_of[aid] for aid in warm_start]
+        best_seq = [instance._index[aid] for aid in warm_start]
 
     nodes = 0
     exhausted = False

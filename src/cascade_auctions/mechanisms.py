@@ -21,11 +21,15 @@ true model.
   is an error, not a payment.  With the exact allocator only the winners
   are rerun: a loser pays exactly 0.0.
 
-The reruns of one outcome, and the outcomes an equilibrium check
-builds for each deviation, all use one seed on at most two ad counts.
-The approximate allocators memoize their colorings and orders on (sizes,
-seed), so those reruns draw them once.  That sharing rests on the same
-fact as truthfulness: the draws never depend on a bid.
+The leave-one-out reruns of one outcome, and the outcomes an
+equilibrium check builds for each deviation, all use one seed on at
+most two ad counts.  The approximate allocators memoize their colorings
+and orders on (sizes, seed), so those reruns draw them once, and they
+price every ad from one batched, value-only pass: every leave-one-out
+instance reuses the same (n-1)-ad draws, read through indices that skip
+the dropped ad, so each value is the float a separate rerun would give.
+That sharing rests on the same fact as truthfulness: the draws never
+depend on a bid.
 """
 from __future__ import annotations
 
@@ -33,15 +37,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from . import coloring, sorted_dp
 from .coloring import colored_ads
 from .exact import solve_exact
 from .model import (
     Allocation,
     AuctionError,
     AuctionInstance,
-    SlotLadder,
+    _ctrs,
+    _leave_one_out_context,
     _shown,
-    ctr,
     social_welfare,
 )
 from .sorted_dp import multi_order_approx
@@ -139,11 +144,8 @@ def _settle(
     payments: dict[int, float],
     allocator: str | None = None,
 ) -> MechanismOutcome:
-    placed = set(alloc.slots)
-    utilities = {}
-    for ad in instance.ads:
-        clicks = ctr(instance, alloc, ad.id) if ad.id in placed else 0.0
-        utilities[ad.id] = ad.value * clicks - payments[ad.id]
+    clicks = _ctrs(instance, alloc)
+    utilities = {ad.id: ad.value * clicks.get(ad.id, 0.0) - payments[ad.id] for ad in instance.ads}
     return MechanismOutcome(
         mechanism=mechanism,
         alloc=alloc,
@@ -210,22 +212,14 @@ def vcg_pdc_outcome(instance: AuctionInstance, bids: BidProfile) -> MechanismOut
 
 
 def _truncated(instance: AuctionInstance, drop_id: int) -> AuctionInstance | None:
-    """Instance without one ad; the ladder shrinks when slots would exceed ads.
+    """Instance without one ad, on the ladder of model._leave_one_out_context.
 
-    Cutting trailing slots loses nothing: prominences of the remaining
-    slots are unchanged and filling more slots than ads is impossible.
     Returns None when no ad remains.
     """
     ads = tuple(ad for ad in instance.ads if ad.id != drop_id)
     if not ads:
         return None
-    k = min(instance.num_slots, len(ads))
-    ladder = (
-        instance.ladder
-        if k == instance.num_slots
-        else SlotLadder(instance.ladder.factors[:k])
-    )
-    return AuctionInstance(ads, ladder)
+    return AuctionInstance(ads, _leave_one_out_context(instance).ladder)
 
 
 def vcg_apdc_outcome(
@@ -248,8 +242,15 @@ def vcg_apdc_outcome(
     With the exact allocator an ad the optimum leaves out pays exactly
     0.0 and is not rerun: without it the optimal allocation is still
     feasible and still optimal, so its Clarke payment is zero.  The
-    approximate allocators rerun every ad, since their range depends on
-    the ad set.
+    approximate allocators price every ad, since their range depends on
+    the ad set, but compute all the leave-one-out values in one batched,
+    value-only pass (``_leave_one_out_values`` of coloring and
+    sorted_dp).  Without ad j the rerun would draw the same (n-1)-ad
+    colorings or orders, since they depend only on (sizes, seed); the
+    batch reads them through indices that skip j, so each column sees the
+    same ads, colors and factors in the same order, and the kernels,
+    whose columns are independent and whose max is exact, give each
+    value bit for bit.  No allocation is built for a rerun.
 
     Raises:
         IncompleteSolveError: an exact solve, of the reported instance or
@@ -276,20 +277,26 @@ def vcg_apdc_outcome(
         return res.alloc, res.value
 
     alloc, _ = run(reported)
-    total_reported = sum(
-        profile[aid] * ctr(reported, alloc, aid) for aid in alloc.slots
-    )
+    clicks = _ctrs(reported, alloc)
+    total_reported = sum(profile[aid] * clicks[aid] for aid in alloc.slots)
+
+    if allocator == "exact":
+        best_without = {}
+        for aid in reported.ids:
+            if aid in clicks:
+                reduced = _truncated(reported, aid)
+                best_without[aid] = 0.0 if reduced is None else run(reduced)[1]
+    else:
+        if allocator == "colored":
+            values = coloring._leave_one_out_values(reported, iterations=iterations, seed=seed)
+        else:
+            values = sorted_dp._leave_one_out_values(reported, order_count=order_count, seed=seed)
+        best_without = dict(zip(reported.ids, values.tolist()))
 
     payments = {ad.id: 0.0 for ad in instance.ads}
-    for ad in instance.ads:
-        if allocator == "exact" and ad.id not in alloc.slots:
-            continue
-        reduced = _truncated(reported, ad.id)
-        best_without = 0.0
-        if reduced is not None:
-            _, best_without = run(reduced)
-        own = profile[ad.id] * ctr(reported, alloc, ad.id) if ad.id in alloc.slots else 0.0
-        payments[ad.id] = best_without - (total_reported - own)
+    for aid, without in best_without.items():
+        own = profile[aid] * clicks[aid] if aid in clicks else 0.0
+        payments[aid] = without - (total_reported - own)
     return _settle(instance, "vcg-apdc", alloc, payments, allocator=allocator)
 
 

@@ -153,17 +153,17 @@ class SlotLadder:
     def num_slots(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def effective_factors(self) -> tuple[float, ...]:
         """Factors as used in computations: the last one is forced to 0."""
         return self.factors[:-1] + (0.0,)
 
-    @property
+    @cached_property
     def prominences(self) -> tuple[float, ...]:
         """Probability of reaching each slot through empty slots above it.
 
         Entry s-1 is the product of the factors of slots 1..s-1; the first
-        entry is 1.
+        entry is 1.  Built on the first access, like effective_factors.
         """
         out = [1.0]
         for f in self.factors[:-1]:
@@ -184,6 +184,8 @@ class AuctionInstance:
 
     ads: tuple[Ad, ...]
     ladder: SlotLadder
+    # ad ids in ad order, and each id's position; both built once
+    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -197,6 +199,7 @@ class AuctionInstance:
                 f"ads: need at least as many ads as slots, got {len(self.ads)} ads for {self.ladder.num_slots} slots"
             )
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "ids", tuple(index))
 
     @property
     def num_ads(self) -> int:
@@ -205,10 +208,6 @@ class AuctionInstance:
     @property
     def num_slots(self) -> int:
         return self.ladder.num_slots
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(ad.id for ad in self.ads)
 
     def ad(self, ad_id: int) -> Ad:
         try:
@@ -234,6 +233,13 @@ class AuctionInstance:
         cont.flags.writeable = False
         return wv, cont
 
+    @cached_property
+    def _id_array(self) -> np.ndarray:
+        """``ids`` as a read-only int64 array."""
+        out = np.array(self.ids, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     def without(self, ad_id: int) -> "AuctionInstance":
         """Copy of the instance with one ad removed (ladder unchanged)."""
         if ad_id not in self._index:
@@ -254,6 +260,20 @@ class AuctionInstance:
             v = float(values.get(ad.id, ad.value))
             new_ads.append(Ad(ad.id, v, ad.quality, ad.continuation))
         return AuctionInstance(tuple(new_ads), self.ladder)
+
+
+def _leave_one_out_context(instance: AuctionInstance) -> AuctionInstance:
+    """All n ads on the ladder of every instance that drops one of them.
+
+    With n-1 ads left the ladder keeps min(K, n-1) slots.  Cutting trailing
+    slots loses nothing: prominences of the remaining slots are unchanged
+    and filling more slots than ads is impossible.  Needs n >= 2; the
+    instance itself is returned when no slot is cut.
+    """
+    k = min(instance.num_slots, instance.num_ads - 1)
+    if k == instance.num_slots:
+        return instance
+    return AuctionInstance(instance.ads, SlotLadder(instance.ladder.factors[:k]))
 
 
 @dataclass(frozen=True)
@@ -287,6 +307,19 @@ def slot_positions(instance: AuctionInstance, alloc: Allocation) -> tuple[int, .
     return tuple(range(first, first + n))
 
 
+def _ctrs(instance: AuctionInstance, alloc: Allocation) -> dict[int, float]:
+    """Click-through rate of every allocated ad, by ad id (see ``ctr``)."""
+    positions = slot_positions(instance, alloc)
+    prom = instance.ladder.prominences
+    out = {}
+    through = 1.0
+    for pos, aid in zip(positions, alloc.slots):
+        ad = instance.ad(aid)
+        out[aid] = ad.quality * prom[pos - 1] * through
+        through *= ad.continuation
+    return out
+
+
 def ctr(instance: AuctionInstance, alloc: Allocation, ad_id: int) -> float:
     """Click-through rate of one allocated ad under the full cascade model.
 
@@ -296,15 +329,10 @@ def ctr(instance: AuctionInstance, alloc: Allocation, ad_id: int) -> float:
     Raises:
         NotAllocatedError: if the ad is not part of the allocation.
     """
-    positions = slot_positions(instance, alloc)
-    prom = instance.ladder.prominences
-    through = 1.0
-    for pos, aid in zip(positions, alloc.slots):
-        ad = instance.ad(aid)
-        if aid == ad_id:
-            return ad.quality * prom[pos - 1] * through
-        through *= ad.continuation
-    raise NotAllocatedError(f"ad {ad_id} is not allocated")
+    try:
+        return _ctrs(instance, alloc)[ad_id]
+    except KeyError:
+        raise NotAllocatedError(f"ad {ad_id} is not allocated") from None
 
 
 def social_welfare(instance: AuctionInstance, alloc: Allocation) -> float:

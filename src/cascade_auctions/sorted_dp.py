@@ -12,14 +12,16 @@ ascending id.  One kernel, _density_order, serves natural_order, the
 natural row of multi_order_approx and exact's value pass (lambda = 1), and
 the constant-lambda prune bound (lambda_max).
 
-One kernel, _dp_rows, serves sorted_ads, the batch of orders and the
-constant-lambda prune bound.  best_s[i], the best value of ads i.. in slots
-s..K with the prominence at slot s taken as 1, is filled slot by slot from
-the bottom: take_s[i] = wv_i + (c_i * lambda_s) * best_{s+1}[i+1] (take_K[i]
-= wv_i), and best_s is the running maximum of take_s from the right, ties
-taking the ad.  Each take is the float expression of a scan that fills one
-ad at a time, and max is exact, so every entry equals that scan's (kept in
-the tests as the reference) bit for bit, in any batch.
+One kernel, _dp_rows, serves sorted_ads, the batch of orders (also run on
+the orders of every instance that drops one ad, for a VCG outcome's
+prices) and the constant-lambda prune bound.  best_s[i], the best value of
+ads i.. in slots s..K with the prominence at slot s taken as 1, is filled
+slot by slot from the bottom: take_s[i] = wv_i + (c_i * lambda_s) *
+best_{s+1}[i+1] (take_K[i] = wv_i), and best_s is the running maximum of
+take_s from the right, ties taking the ad.  Each take is the float
+expression of a scan that fills one ad at a time, and max is exact, so
+every entry equals that scan's (kept in the tests as the reference) bit
+for bit, in any batch.
 
 The random orders are a pure function of (ad count, order count, seed):
 no value or bid enters them.  multi_order_approx therefore memoizes the
@@ -37,7 +39,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Allocation, AuctionInstance, AuctionError, InvalidAllocationError
+from .model import (
+    Allocation,
+    AuctionInstance,
+    AuctionError,
+    InvalidAllocationError,
+    _leave_one_out_context,
+)
 
 __all__ = [
     "NoOrdersError",
@@ -80,7 +88,7 @@ def _density_order(instance: AuctionInstance, lam: float) -> np.ndarray:
     denom = 1.0 - lam * cont
     live = denom > 0.0
     key = np.where(live, -(wv / np.where(live, denom, 1.0)), -np.inf)
-    return np.lexsort((instance.ids, key))
+    return np.lexsort((instance._id_array, key))
 
 
 def natural_order(instance: AuctionInstance) -> AdOrder:
@@ -96,8 +104,7 @@ def reverse_natural_order(instance: AuctionInstance) -> AdOrder:
 def random_order(instance: AuctionInstance, seed: int, index: int) -> AdOrder:
     """Uniform random permutation drawn from the stream (seed, index)."""
     rng = np.random.default_rng((seed, index))
-    ids = np.array(instance.ids, dtype=np.int64)
-    return tuple(int(x) for x in rng.permutation(ids))
+    return tuple(int(x) for x in rng.permutation(instance._id_array))
 
 
 # One VCG outcome alternates between the reported n-ad instance and its
@@ -122,7 +129,7 @@ def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
 
 def _order_indices(instance: AuctionInstance, order: Sequence[int]) -> np.ndarray:
     """Ad-array index of each id in ``order``, which must list every ad once."""
-    index = {aid: i for i, aid in enumerate(instance.ids)}
+    index = instance._index
     if len(order) != len(index) or set(order) != index.keys():
         raise InvalidAllocationError("order must be a permutation of the instance's ad ids")
     return np.array([index[aid] for aid in order], dtype=np.int64)
@@ -215,6 +222,41 @@ def multi_order_approx(
 
     values = _dp_values_batch(instance, order_mat)
     best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
-    ids = np.array(instance.ids, dtype=np.int64)
+    ids = instance._id_array
     result = sorted_ads(instance, tuple(int(x) for x in ids[order_mat[best]]))
     return SortedDpResult(value=result.value, alloc=result.alloc, order_index=best)
+
+
+def _leave_one_out_values(
+    instance: AuctionInstance, order_count: int | None = None, seed: int = 0
+) -> np.ndarray:
+    """Value of multi_order_approx without each ad, for every ad at once.
+
+    Entry j equals ``multi_order_approx(reduced, order_count, seed,
+    include_natural=False).value`` by repr, where ``reduced`` drops the
+    ad at index j (see model._leave_one_out_context); it is 0.0 when no ad
+    remains.  Row t of ``_random_orders(n-1, T, seed)`` lists the reduced
+    instance's ad indices; adding 1 to those at or past j maps them onto
+    this instance, so every row reads the same ads in the same order and
+    the kernel gives the same floats in this batch.  The value is taken at
+    the first maximal row, as multi_order_approx's argmax does.  The
+    orders of several j's are stacked per call, at most about
+    _BATCH_BLOCK entries of them.
+    """
+    n = instance.num_ads
+    if n == 1:
+        return np.zeros(1)
+    context = _leave_one_out_context(instance)
+    if order_count is None:
+        order_count = 2 * context.num_slots**3
+    if order_count <= 0:
+        raise NoOrdersError("order_count must be > 0")
+    base = _random_orders(n - 1, order_count, seed)
+    group = max(1, _BATCH_BLOCK // base.size)
+    values = np.empty(n)
+    for start in range(0, n, group):
+        drop = np.arange(start, min(start + group, n))
+        orders = base + (base >= drop[:, None, None])  # (group, T, n-1)
+        batch = _dp_values_batch(context, orders.reshape(-1, n - 1)).reshape(len(drop), -1)
+        values[drop] = batch[np.arange(len(drop)), batch.argmax(axis=1)]
+    return values

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from cascade_auctions import (
     vcg_apdc_outcome,
     vcg_pdc_outcome,
 )
-from cascade_auctions.harness import GeneratorConfig, generate_instance
+from cascade_auctions import coloring, sorted_dp
+from cascade_auctions.coloring import colored_ads
+from cascade_auctions.harness import DEFAULT_SLOT_FACTORS, GeneratorConfig, generate_instance
+from cascade_auctions.mechanisms import _truncated
+from cascade_auctions.sorted_dp import multi_order_approx
 from conftest import two_ad_instance
 
 
@@ -280,6 +285,87 @@ def test_vcg_apdc_outputs_match_recorded_values(case):
             repr(out.social_welfare),
         )
         assert got == APDC_GOLDEN[case]
+
+
+def _rerun_values(reported, allocator, seed, kwargs):
+    """The allocator's value on each leave-one-out instance, one full call each."""
+    values = []
+    for aid in reported.ids:
+        reduced = _truncated(reported, aid)
+        if reduced is None:
+            values.append(0.0)
+        elif allocator == "colored":
+            values.append(colored_ads(reduced, seed=seed, **kwargs).value)
+        else:
+            values.append(multi_order_approx(reduced, seed=seed, include_natural=False, **kwargs).value)
+    return [repr(v) for v in values]
+
+
+def _batched_values(reported, allocator, seed, kwargs):
+    module = coloring if allocator == "colored" else sorted_dp
+    values = module._leave_one_out_values(reported, seed=seed, **kwargs)
+    assert values.shape == (reported.num_ads,)
+    return [repr(v) for v in values.tolist()]
+
+
+# zero bids, one of them -0.0, tie orders and passes
+LOO_BID_SCALE = (1.5, 0.0, 1.0, 0.8, -0.0, 0.3)
+
+
+def _loo_reported(n, k, trial):
+    factors = DEFAULT_SLOT_FACTORS + (0.42, 0.41)
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=707, slot_factors=factors), trial)
+    scale = LOO_BID_SCALE * (n // len(LOO_BID_SCALE) + 1)
+    return inst.with_values({ad.id: ad.value * s for ad, s in zip(inst.ads, scale)})
+
+
+@pytest.mark.parametrize("allocator", ["colored", "sorted"])
+def test_leave_one_out_values_match_reruns(allocator):
+    # every K from 1 to n, K = n included (each leave-one-out instance then
+    # loses a slot); where K is small, 12 passes in chunks of 5 (three
+    # batches) and the default pass or order count too
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            reported = _loo_reported(n, k, trial=n * 13 + k)
+            runs = [{"iterations": 12} if allocator == "colored" else {"order_count": 8}]
+            if k <= 3:
+                runs.append({})
+            if k <= 5 and allocator == "colored":
+                runs.append({"iterations": 12, "chunk": 5})
+            for kwargs in runs:
+                want = _rerun_values(reported, allocator, n + k, kwargs)
+                assert _batched_values(reported, allocator, n + k, kwargs) == want, (n, k, kwargs)
+
+
+@pytest.mark.parametrize("allocator,kwargs,groups", [
+    ("colored", {"iterations": 12}, coloring._LEAVE_ONE_OUT_BLOCK // (12 * ((1 << 3) + 150))),
+    ("sorted", {"order_count": 8}, sorted_dp._BATCH_BLOCK // (8 * 149)),
+])
+def test_leave_one_out_values_match_reruns_across_groups(allocator, kwargs, groups):
+    # at n = 150 the leave-one-out columns take more than one kernel call
+    assert 1 <= groups < 150
+    reported = _loo_reported(150, 3, trial=0)
+    assert _batched_values(reported, allocator, 4, kwargs) == _rerun_values(reported, allocator, 4, kwargs)
+
+
+@pytest.mark.parametrize("allocator", ["sorted", "colored"])
+def test_vcg_apdc_approximate_pricing_memory_stays_small(allocator):
+    # an unblocked batch of all leave-one-out columns took hundreds of MB at
+    # this size; single calls on 300 and 299 ads make the memoized draws first
+    inst = generate_instance(GeneratorConfig(num_ads=300, num_slots=5, seed=1))
+    for ads in (inst, inst.without(inst.ids[0])):
+        if allocator == "colored":
+            colored_ads(ads, seed=3)
+        else:
+            multi_order_approx(ads, seed=3, include_natural=False)
+    tracemalloc.start()
+    try:
+        out = vcg_apdc_outcome(inst, truthful_profile(inst), allocator=allocator, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.payments) == 300
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_vcg_apdc_incomplete_exact_solve_is_an_error():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,6 +205,45 @@ def test_social_welfare_hand_values():
     assert social_welfare(inst, Allocation((2, 1))) == pytest.approx(1.0)
     # right-aligned single ad sits in slot 2 with prominence 0.5
     assert social_welfare(inst, Allocation((2,), right_aligned=True)) == pytest.approx(0.5)
+
+
+def _scalar_ctr(instance, alloc, ad_id):
+    """The click-through rate as one ad-by-ad scan computes it."""
+    prom = instance.ladder.prominences
+    through = 1.0
+    for pos, aid in zip(slot_positions(instance, alloc), alloc.slots):
+        ad = instance.ad(aid)
+        if aid == ad_id:
+            return ad.quality * prom[pos - 1] * through
+        through *= ad.continuation
+    raise AssertionError(ad_id)
+
+
+def test_ctrs_match_the_scan_by_repr():
+    from cascade_auctions.harness import GeneratorConfig, generate_instance
+    from cascade_auctions.model import _ctrs
+
+    for seed in range(10):
+        inst = generate_instance(GeneratorConfig(num_ads=9, num_slots=5, seed=seed))
+        for alloc in (Allocation(inst.ids[4:9]), Allocation(inst.ids[seed % 4 : 3], right_aligned=True)):
+            clicks = _ctrs(inst, alloc)
+            assert list(clicks) == list(alloc.slots)
+            for aid in alloc.slots:
+                assert repr(clicks[aid]) == repr(ctr(inst, alloc, aid)) == repr(_scalar_ctr(inst, alloc, aid))
+
+
+def test_ids_and_ladder_tables_are_built_once():
+    inst = two_ad_instance()
+    assert isinstance(inst.ids, tuple) and inst.ids is inst.ids
+    ids = inst._id_array
+    assert ids.dtype == np.int64 and ids.tolist() == [1, 2] and ids is inst._id_array
+    with pytest.raises(ValueError):
+        ids[0] = 5
+    ladder = inst.ladder
+    assert ladder.prominences is ladder.prominences
+    assert ladder.effective_factors is ladder.effective_factors
+    # the cached tables are not fields: equality and hashing are unchanged
+    assert ladder == SlotLadder(ladder.factors) and hash(ladder) == hash(SlotLadder(ladder.factors))
 
 
 def test_social_welfare_is_sum_of_value_times_ctr():
