@@ -307,7 +307,7 @@ def _backtrack(
         cand = wv + (cont * lam_by_size[state.bit_count()]) * memo_column[state ^ bits]
         hits = ((bits & state) != 0) & (cand == memo_column[state])
         a = int(np.flatnonzero(hits)[0])
-        slots.append(instance.ads[a].id)
+        slots.append(instance.ids[a])
         state ^= int(bits[a])
     return Allocation(tuple(slots))
 

@@ -108,7 +108,7 @@ def solve_exact(
     if warm_start is not None:
         # social_welfare rejects an unknown id, a repeat or too many ads
         best_value = social_welfare(instance, Allocation(tuple(warm_start)))
-        best_seq = [instance._index[aid] for aid in warm_start]
+        best_seq = instance.indices(warm_start)
 
     nodes = 0
     exhausted = False

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coloring import colored_ads
 from .exact import solve_exact
-from .model import AuctionInstance, Ad, SlotLadder
+from .model import AuctionInstance, SlotLadder
 from .prune import prune_instance
 from .sorted_dp import multi_order_approx, reverse_natural_order
 
@@ -97,15 +97,10 @@ def generate_instance(config: GeneratorConfig, trial: int = 0) -> AuctionInstanc
     continuations = rng.uniform(
         config.continuation_low, config.continuation_high, size=n
     )
-    ads = tuple(
-        Ad(id=i + 1, value=float(values[i]), quality=float(qualities[i]),
-           continuation=float(continuations[i]))
-        for i in range(n)
-    )
     ladder = SlotLadder.from_factors(
         config.slot_factors[: config.num_slots], num_slots=config.num_slots
     )
-    return AuctionInstance(ads, ladder)
+    return AuctionInstance.from_columns(np.arange(1, n + 1), values, qualities, continuations, ladder)
 
 
 @dataclass(frozen=True)

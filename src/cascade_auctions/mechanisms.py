@@ -113,24 +113,24 @@ class NashCheck:
 
 
 def truthful_profile(instance: AuctionInstance) -> dict[int, float]:
-    return {ad.id: ad.value for ad in instance.ads}
+    return dict(zip(instance.ids, instance.value.tolist()))
 
 
 def _check_bids(instance: AuctionInstance, bids: BidProfile) -> dict[int, float]:
     profile = {}
-    for ad in instance.ads:
-        if ad.id not in bids:
-            raise ValueError(f"bid profile is missing ad {ad.id}")
-        raw = bids[ad.id]
+    for aid in instance.ids:
+        if aid not in bids:
+            raise ValueError(f"bid profile is missing ad {aid}")
+        raw = bids[aid]
         try:
             if isinstance(raw, (bool, str)):
                 raise TypeError
             b = float(raw)
         except (TypeError, OverflowError):
-            raise ValueError(f"bid for ad {ad.id} must be a number that fits a float, got {_shown(raw)}") from None
+            raise ValueError(f"bid for ad {aid} must be a number that fits a float, got {_shown(raw)}") from None
         if not 0.0 <= b < math.inf:
-            raise ValueError(f"bid for ad {ad.id} must be finite and nonnegative, got {b}")
-        profile[ad.id] = b
+            raise ValueError(f"bid for ad {aid} must be finite and nonnegative, got {b}")
+        profile[aid] = b
     if len(bids) != instance.num_ads:
         extra = set(bids) - set(profile)
         raise ValueError(f"bid profile names unknown ads {sorted(extra)}")
@@ -145,7 +145,7 @@ def _settle(
     allocator: str | None = None,
 ) -> MechanismOutcome:
     clicks = _ctrs(instance, alloc)
-    utilities = {ad.id: ad.value * clicks.get(ad.id, 0.0) - payments[ad.id] for ad in instance.ads}
+    utilities = {aid: v * clicks.get(aid, 0.0) - payments[aid] for aid, v in zip(instance.ids, instance.value.tolist())}
     return MechanismOutcome(
         mechanism=mechanism,
         alloc=alloc,
@@ -169,17 +169,18 @@ def gsp_outcome(
     """
     profile = _check_bids(instance, bids)
     k = instance.num_slots
+    quality = dict(zip(instance.ids, instance.quality.tolist()))
 
-    def score(ad) -> float:
-        return ad.quality * profile[ad.id] if rank_by_quality else profile[ad.id]
+    def score(aid: int) -> float:
+        return quality[aid] * profile[aid] if rank_by_quality else profile[aid]
 
-    ranking = sorted(instance.ads, key=lambda ad: (-score(ad), ad.id))
-    alloc = Allocation(tuple(ad.id for ad in ranking[:k]))
-    payments = {ad.id: 0.0 for ad in instance.ads}
-    for pos, ad in enumerate(ranking[:k]):
+    ranking = sorted(instance.ids, key=lambda aid: (-score(aid), aid))
+    alloc = Allocation(tuple(ranking[:k]))
+    payments = dict.fromkeys(instance.ids, 0.0)
+    for pos, aid in enumerate(ranking[:k]):
         if pos + 1 < len(ranking):
             nxt = ranking[pos + 1]
-            payments[ad.id] = nxt.quality * profile[nxt.id]
+            payments[aid] = quality[nxt] * profile[nxt]
     return _settle(instance, "gsp", alloc, payments)
 
 
@@ -194,32 +195,22 @@ def vcg_pdc_outcome(instance: AuctionInstance, bids: BidProfile) -> MechanismOut
     profile = _check_bids(instance, bids)
     k = instance.num_slots
     prom = instance.ladder.prominences
+    quality = dict(zip(instance.ids, instance.quality.tolist()))
 
-    def weight(ad) -> float:
-        return ad.quality * profile[ad.id]
+    def weight(aid: int) -> float:
+        return quality[aid] * profile[aid]
 
-    ranking = sorted(instance.ads, key=lambda ad: (-weight(ad), ad.id))
-    alloc = Allocation(tuple(ad.id for ad in ranking[:k]))
-    declared = {ad.id: weight(ad) * prom[pos] for pos, ad in enumerate(ranking[:k])}
+    ranking = sorted(instance.ids, key=lambda aid: (-weight(aid), aid))
+    alloc = Allocation(tuple(ranking[:k]))
+    declared = {aid: weight(aid) * prom[pos] for pos, aid in enumerate(ranking[:k])}
 
-    payments = {ad.id: 0.0 for ad in instance.ads}
-    for pos, ad in enumerate(ranking[:k]):
-        others = [o for o in ranking if o.id != ad.id]
+    payments = dict.fromkeys(instance.ids, 0.0)
+    for aid in ranking[:k]:
+        others = [o for o in ranking if o != aid]
         without = sum(weight(o) * prom[p] for p, o in enumerate(others[:k]))
-        kept = sum(declared.values()) - declared[ad.id]
-        payments[ad.id] = without - kept
+        kept = sum(declared.values()) - declared[aid]
+        payments[aid] = without - kept
     return _settle(instance, "vcg-pdc", alloc, payments)
-
-
-def _truncated(instance: AuctionInstance, drop_id: int) -> AuctionInstance | None:
-    """Instance without one ad, on the ladder of model._leave_one_out_context.
-
-    Returns None when no ad remains.
-    """
-    ads = tuple(ad for ad in instance.ads if ad.id != drop_id)
-    if not ads:
-        return None
-    return AuctionInstance(ads, _leave_one_out_context(instance).ladder)
 
 
 def vcg_apdc_outcome(
@@ -281,11 +272,12 @@ def vcg_apdc_outcome(
     total_reported = sum(profile[aid] * clicks[aid] for aid in alloc.slots)
 
     if allocator == "exact":
-        best_without = {}
-        for aid in reported.ids:
-            if aid in clicks:
-                reduced = _truncated(reported, aid)
-                best_without[aid] = 0.0 if reduced is None else run(reduced)[1]
+        # n = 1 leaves no ad to rerun on, and no ladder to run it with
+        context = _leave_one_out_context(reported) if reported.num_ads > 1 else None
+        best_without = {
+            aid: 0.0 if context is None else run(context.without(aid))[1]
+            for aid in reported.ids if aid in clicks
+        }
     else:
         if allocator == "colored":
             values = coloring._leave_one_out_values(reported, iterations=iterations, seed=seed)
@@ -293,7 +285,7 @@ def vcg_apdc_outcome(
             values = sorted_dp._leave_one_out_values(reported, order_count=order_count, seed=seed)
         best_without = dict(zip(reported.ids, values.tolist()))
 
-    payments = {ad.id: 0.0 for ad in instance.ads}
+    payments = dict.fromkeys(instance.ids, 0.0)
     for aid, without in best_without.items():
         own = profile[aid] * clicks[aid] if aid in clicks else 0.0
         payments[aid] = without - (total_reported - own)

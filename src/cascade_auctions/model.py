@@ -11,29 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from contextlib import suppress
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "AuctionError",
-    "NotAllocatedError",
-    "InvalidAllocationError",
-    "InstanceFormatError",
-    "InstanceTooLargeError",
-    "Ad",
-    "SlotLadder",
-    "AuctionInstance",
-    "Allocation",
-    "ctr",
-    "social_welfare",
-    "slot_positions",
-    "instance_to_dict",
-    "instance_from_dict",
-    "dump_instance",
-    "load_instance",
+    "AuctionError", "NotAllocatedError", "InvalidAllocationError", "InstanceFormatError",
+    "InstanceTooLargeError", "Ad", "SlotLadder", "AuctionInstance", "Allocation", "ctr",
+    "social_welfare", "slot_positions", "instance_to_dict", "instance_from_dict",
+    "dump_instance", "load_instance",
 ]
 
 
@@ -66,28 +57,19 @@ def _shown(x: Any) -> str:
 
 
 def _check_field(x: Any, where: str, hi: float = 1.0) -> None:
-    """Raises InstanceFormatError starting with ``where`` unless x is a
-    number in [0, hi] that fits a finite float."""
-    try:
-        ok = 0.0 <= x <= hi and math.isfinite(x)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        rule = "a finite number >= 0" if hi == math.inf else f"a number within [0, {hi:g}]"
-        raise InstanceFormatError(f"{where} must be {rule}, got {_shown(x)}")
+    """Raises InstanceFormatError starting with ``where`` unless x is a number in [0, hi] that fits a finite float."""
+    with suppress(TypeError, OverflowError):
+        if 0.0 <= x <= hi and math.isfinite(x):
+            return
+    rule = "a finite number >= 0" if hi == math.inf else f"a number within [0, {hi:g}]"
+    raise InstanceFormatError(f"{where} must be {rule}, got {_shown(x)}")
 
 
 @dataclass(frozen=True)
 class Ad:
-    """A single ad with its private value and public user-model parameters.
-
-    Attributes:
-        id: Integer identifier, unique within an instance.
-        value: Value per click to the advertiser, >= 0.
-        quality: Click probability once the ad is looked at, in [0, 1].
-        continuation: Probability the user keeps scanning past this ad,
-            in [0, 1].
-    """
+    """One ad: an integer id, unique within an instance; its private value per click (>= 0); its
+    quality, the click probability once looked at; and its continuation, the probability that the
+    user keeps scanning past it (both in [0, 1])."""
 
     id: int
     value: float
@@ -95,17 +77,9 @@ class Ad:
     continuation: float
 
     def __post_init__(self) -> None:
-        # ads are built by the thousand, so one cheap test comes first and
-        # _check_field only runs to name the first bad field
-        try:
-            ok = (self.value >= 0.0 and math.isfinite(self.value)
-                  and 0.0 <= self.quality <= 1.0 and 0.0 <= self.continuation <= 1.0)
-        except (TypeError, OverflowError):
-            ok = False
-        if not ok:
-            _check_field(self.value, f"ad {self.id}: value", math.inf)
-            _check_field(self.quality, f"ad {self.id}: quality")
-            _check_field(self.continuation, f"ad {self.id}: continuation")
+        _check_field(self.value, f"ad {self.id}: value", math.inf)
+        _check_field(self.quality, f"ad {self.id}: quality")
+        _check_field(self.continuation, f"ad {self.id}: continuation")
 
     @property
     def weighted_value(self) -> float:
@@ -115,13 +89,9 @@ class Ad:
 
 @dataclass(frozen=True)
 class SlotLadder:
-    """The slot side of the model: one continuation factor per slot.
-
-    ``factors[s-1]`` is the probability the user moves from slot s to slot
-    s+1, before multiplying in the continuation of the ad shown in slot s.
-    The factor of the last slot is stored for round-tripping but never
-    enters any welfare computation (there is no slot below it to reach).
-    """
+    """The slot side of the model: ``factors[s-1]`` is the probability the user moves from slot s
+    to slot s+1, before multiplying in the continuation of the ad shown in slot s.  The last slot's
+    factor is stored for round-tripping but never enters a welfare (no slot lies below it)."""
 
     factors: tuple[float, ...]
 
@@ -134,19 +104,13 @@ class SlotLadder:
 
     @classmethod
     def from_factors(cls, factors: Iterable[float], num_slots: int | None = None) -> "SlotLadder":
-        """Builds a ladder from either K or K-1 factors.
-
-        When K-1 factors are supplied for K slots the missing last factor is
-        set to 0 (the scan cannot continue past the last slot).
-        """
+        """Builds a ladder from either K or K-1 factors; a missing last factor
+        is 0 (the scan cannot continue past the last slot)."""
         fs = list(factors)
-        if num_slots is not None:
-            if len(fs) == num_slots - 1:
-                fs.append(0.0)
-            elif len(fs) != num_slots:
-                raise InstanceFormatError(
-                    f"lambdas: expected {num_slots} or {num_slots - 1} factors, got {len(fs)}"
-                )
+        if num_slots is not None and len(fs) == num_slots - 1:
+            fs.append(0.0)
+        elif num_slots is not None and len(fs) != num_slots:
+            raise InstanceFormatError(f"lambdas: expected {num_slots} or {num_slots - 1} factors, got {len(fs)}")
         return cls(tuple(fs))
 
     @property
@@ -160,130 +124,171 @@ class SlotLadder:
 
     @cached_property
     def prominences(self) -> tuple[float, ...]:
-        """Probability of reaching each slot through empty slots above it.
-
-        Entry s-1 is the product of the factors of slots 1..s-1; the first
-        entry is 1.  Built on the first access, like effective_factors.
-        """
-        out = [1.0]
-        for f in self.factors[:-1]:
-            out.append(out[-1] * f)
-        return tuple(out)
+        """Probability of reaching each slot through empty slots above it:
+        entry s-1 is the product of the factors of slots 1..s-1."""
+        return tuple(accumulate(self.factors[:-1], operator.mul, initial=1.0))
 
     @property
     def max_factor(self) -> float:
         """Largest factor of any slot that has a slot below it (0 if K=1)."""
-        if self.num_slots == 1:
-            return 0.0
-        return max(self.factors[:-1])
+        return max(self.factors[:-1], default=0.0)
 
 
-@dataclass(frozen=True)
+def _check_table(id_array: np.ndarray, table: np.ndarray) -> None:
+    """Two reductions test the whole table (NaN fails both); the Ad checks only name the first bad ad."""
+    upper = (np.finfo(float).max, 1.0, 1.0, np.finfo(float).max)  # of value, quality, continuation, wv
+    if len(id_array) and not (table.min() >= 0.0 and all(map(operator.le, table.max(axis=1).tolist(), upper))):
+        i = int(np.argmin(((table >= 0.0) & (table <= np.array(upper)[:, None])).all(axis=0)))
+        Ad(int(id_array[i]), *table[:3, i].tolist())
+
+
+def _columns(ids: Any, value: Any, quality: Any, continuation: Any) -> tuple[np.ndarray, np.ndarray]:
+    """A new int64 id array and float table (rows value, quality, continuation and wv), checked;
+    an id that is not an integer within 64 bits is an error naming it."""
+    table = np.empty((4, len(ids)))
+    table[:3] = value, quality, continuation  # a column of another length does not fit
+    np.multiply(table[1], table[0], out=table[3])
+    id_array = np.array(ids)  # a Python int outside 64 bits makes an object array
+    if id_array.dtype.kind != "i" and id_array.size:
+        bad = next(a for a in ids if type(a) is not int or not -(1 << 63) <= a < 1 << 63)
+        raise InstanceFormatError(f"ad {_shown(bad)}: id must be an integer within 64 bits")
+    id_array = id_array.astype(np.int64)
+    _check_table(id_array, table)
+    return id_array, table
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)  # frozen: assigning an attribute raises
 class AuctionInstance:
-    """A set of ads plus a slot ladder.  Requires at least as many ads as slots."""
+    """A set of ads plus a slot ladder.  Requires at least as many ads as slots.
 
-    ads: tuple[Ad, ...]
-    ladder: SlotLadder
-    # ad ids in ad order, and each id's position; both built once
-    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    The ads are read-only columns in ad order: ``id_array`` (int64) and
+    ``value``, ``quality``, ``continuation`` and ``wv = quality * value``
+    (float64, the rows of one table).  ``ids``, the id lookup and, on first
+    use, ``ads`` and the rows as lists of floats are built from them.
+    Immutable; equality, hashing and repr are those of the pair (ads, ladder).
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ads", tuple(self.ads))
-        index = {ad.id: i for i, ad in enumerate(self.ads)}
-        if len(index) != len(self.ads):
-            repeated = next(ad.id for i, ad in enumerate(self.ads) if index[ad.id] != i)
-            raise InstanceFormatError(f"ads: duplicate ad id {repeated}")
-        if len(self.ads) < self.ladder.num_slots:
-            raise InstanceFormatError(
-                f"ads: need at least as many ads as slots, got {len(self.ads)} ads for {self.ladder.num_slots} slots"
-            )
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "ids", tuple(index))
+    def __init__(self, ads: Iterable[Ad], ladder: SlotLadder) -> None:
+        ads = tuple(ads)
+        fields = ([getattr(ad, name) for ad in ads] for name in ("id", "value", "quality", "continuation"))
+        self.__post_init__(*_columns(*fields), ladder)
+
+    @classmethod
+    def from_columns(cls, ids: Any, value: Any, quality: Any, continuation: Any, ladder: SlotLadder) -> AuctionInstance:
+        """Instance from per-ad sequences of numbers, in ad order."""
+        return cls._of(*_columns(ids, value, quality, continuation), ladder)
+
+    @classmethod
+    def _of(cls, id_array: np.ndarray, table: np.ndarray, ladder: SlotLadder) -> AuctionInstance:
+        inst = cls.__new__(cls)
+        inst.__post_init__(id_array, table, ladder)
+        return inst
+
+    def __post_init__(self, id_array: np.ndarray, table: np.ndarray, ladder: SlotLadder) -> None:
+        """Sets columns that ``_columns`` checked (or rows of them) and checks the ad set: distinct
+        ids, at least K ads.  Every instance, derived ones included, is built through here."""
+        # nearly every use reads ids and the id lookup; built lazily they cost more at VCG rerun sizes
+        ids = tuple(id_array.tolist())
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        if len(index) != n:
+            raise InstanceFormatError(f"ads: duplicate ad id {next(a for i, a in enumerate(ids) if index[a] != i)}")
+        if n < ladder.num_slots:
+            raise InstanceFormatError(f"ads: need at least as many ads as slots, got {n} ads for {ladder.num_slots} slots")
+        id_array.flags.writeable = table.flags.writeable = False
+        vars(self).update(id_array=id_array, _table=table, ladder=ladder, ids=ids, _index=index,
+                          value=table[0], quality=table[1], continuation=table[2], wv=table[3])
+
+    def _key(self) -> tuple:
+        return (self.ids, *map(tuple, self._lists[:3]), self.ladder)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(ads={self.ads!r}, ladder={self.ladder!r})"
+
+    @cached_property
+    def ads(self) -> tuple[Ad, ...]:
+        return tuple(map(Ad, self.ids, *self._lists[:3]))
+
+    @cached_property
+    def _lists(self) -> list[list[float]]:
+        return self._table.tolist()
 
     @property
     def num_ads(self) -> int:
-        return len(self.ads)
+        return len(self.id_array)
 
     @property
     def num_slots(self) -> int:
         return self.ladder.num_slots
 
-    def ad(self, ad_id: int) -> Ad:
+    def indices(self, ids: Iterable[int]) -> list[int]:
+        """Ad-array index of each id, in the order given; an unknown id is an InvalidAllocationError."""
+        index = self._index
         try:
-            return self.ads[self._index[ad_id]]
-        except KeyError:
-            raise InvalidAllocationError(f"unknown ad id {ad_id}") from None
+            return [index[aid] for aid in ids]
+        except KeyError as exc:
+            raise InvalidAllocationError(f"unknown ad id {exc.args[0]}") from None
+
+    def ad(self, ad_id: int) -> Ad:
+        (i,) = self.indices((ad_id,))
+        return Ad(self.ids[i], *self._table[:3, i].tolist())
 
     def __contains__(self, ad_id: int) -> bool:
         return ad_id in self._index
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weighted_value, continuation) arrays in ad order, read-only.
+        """(weighted_value, continuation) arrays in ad order, read-only."""
+        return self.wv, self.continuation
 
-        Built on the first call and shared by every later one.
-        """
-        return self._arrays
+    def _subset(self, ids: Iterable[int], keep: bool) -> AuctionInstance:
+        mask = np.zeros(self.num_ads, bool)
+        mask[self.indices(ids)] = True
+        rows = mask if keep else ~mask
+        return self._of(self.id_array[rows], self._table.compress(rows, axis=1), self.ladder)
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        wv = np.array([ad.weighted_value for ad in self.ads], dtype=float)
-        cont = np.array([ad.continuation for ad in self.ads], dtype=float)
-        wv.flags.writeable = False
-        cont.flags.writeable = False
-        return wv, cont
-
-    @cached_property
-    def _id_array(self) -> np.ndarray:
-        """``ids`` as a read-only int64 array."""
-        out = np.array(self.ids, dtype=np.int64)
-        out.flags.writeable = False
-        return out
-
-    def without(self, ad_id: int) -> "AuctionInstance":
+    def without(self, ad_id: int) -> AuctionInstance:
         """Copy of the instance with one ad removed (ladder unchanged)."""
-        if ad_id not in self._index:
-            raise InvalidAllocationError(f"unknown ad id {ad_id}")
-        kept = tuple(ad for ad in self.ads if ad.id != ad_id)
-        return AuctionInstance(kept, self.ladder)
+        return self._subset((ad_id,), keep=False)
 
-    def restricted_to(self, ids: Iterable[int]) -> "AuctionInstance":
+    def restricted_to(self, ids: Iterable[int]) -> AuctionInstance:
         """Copy keeping only the given ad ids, in the original ad order."""
-        keep = set(ids)
-        kept = tuple(ad for ad in self.ads if ad.id in keep)
-        return AuctionInstance(kept, self.ladder)
+        return self._subset(ids, keep=True)
 
-    def with_values(self, values: Mapping[int, float]) -> "AuctionInstance":
-        """Copy with per-click values replaced (used for reported bids)."""
-        new_ads = []
-        for ad in self.ads:
-            v = float(values.get(ad.id, ad.value))
-            new_ads.append(Ad(ad.id, v, ad.quality, ad.continuation))
-        return AuctionInstance(tuple(new_ads), self.ladder)
+    def with_values(self, values: Mapping[int, float]) -> AuctionInstance:
+        """Copy with the per-click values of the given ids replaced (used for reported bids)."""
+        table = self._table.copy()
+        new = np.fromiter(values.values(), float, len(values))
+        table[0][self.indices(values)] = new
+        np.multiply(table[1], table[0], out=table[3])
+        if not all(0.0 <= v < math.inf for v in new.tolist()):  # cheaper than two reductions at VCG sizes
+            _check_table(self.id_array, table)  # names the first bad ad
+        return self._of(self.id_array, table, self.ladder)
 
 
 def _leave_one_out_context(instance: AuctionInstance) -> AuctionInstance:
-    """All n ads on the ladder of every instance that drops one of them.
+    """All n ads on the ladder of every instance that drops one of them, which keeps min(K, n-1) slots.
 
-    With n-1 ads left the ladder keeps min(K, n-1) slots.  Cutting trailing
-    slots loses nothing: prominences of the remaining slots are unchanged
-    and filling more slots than ads is impossible.  Needs n >= 2; the
-    instance itself is returned when no slot is cut.
+    Cutting trailing slots loses nothing: prominences of the remaining slots are unchanged and filling more
+    slots than ads is impossible.  Needs n >= 2; the instance itself is returned when no slot is cut.
     """
     k = min(instance.num_slots, instance.num_ads - 1)
     if k == instance.num_slots:
         return instance
-    return AuctionInstance(instance.ads, SlotLadder(instance.ladder.factors[:k]))
+    return instance._of(instance.id_array, instance._table, SlotLadder(instance.ladder.factors[:k]))
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """An ordered assignment of ads to slots.
+    """An ordered assignment of ads to slots: ``slots`` lists ad ids from the top slot down.
 
-    ``slots`` lists ad ids from the top slot down.  A left-aligned
-    allocation of n ads occupies slots 1..n.  A right-aligned one occupies
-    the last n slots, leaving the top slots empty (the scan passes through
-    empty slots with the bare slot factors).
+    A left-aligned allocation of n ads occupies slots 1..n, a right-aligned one the last n slots,
+    leaving the top slots empty (the scan passes through them with the bare slot factors).
     """
 
     slots: tuple[int, ...]
@@ -299,8 +304,7 @@ class Allocation:
 
 def slot_positions(instance: AuctionInstance, alloc: Allocation) -> tuple[int, ...]:
     """1-based slot index of each allocated ad, in allocation order."""
-    n = len(alloc.slots)
-    k = instance.num_slots
+    n, k = len(alloc.slots), instance.num_slots
     if n > k:
         raise InvalidAllocationError(f"allocation has {n} ads but only {k} slots exist")
     first = k - n + 1 if alloc.right_aligned else 1
@@ -309,26 +313,19 @@ def slot_positions(instance: AuctionInstance, alloc: Allocation) -> tuple[int, .
 
 def _ctrs(instance: AuctionInstance, alloc: Allocation) -> dict[int, float]:
     """Click-through rate of every allocated ad, by ad id (see ``ctr``)."""
-    positions = slot_positions(instance, alloc)
     prom = instance.ladder.prominences
+    _, quality, cont, _ = instance._lists
     out = {}
     through = 1.0
-    for pos, aid in zip(positions, alloc.slots):
-        ad = instance.ad(aid)
-        out[aid] = ad.quality * prom[pos - 1] * through
-        through *= ad.continuation
+    for pos, aid, i in zip(slot_positions(instance, alloc), alloc.slots, instance.indices(alloc.slots)):
+        out[aid] = quality[i] * prom[pos - 1] * through
+        through *= cont[i]
     return out
 
 
 def ctr(instance: AuctionInstance, alloc: Allocation, ad_id: int) -> float:
-    """Click-through rate of one allocated ad under the full cascade model.
-
-    Product of the ad's quality, the prominence of its slot, and the
-    continuation probabilities of the ads allocated above it.
-
-    Raises:
-        NotAllocatedError: if the ad is not part of the allocation.
-    """
+    """Click-through rate of one allocated ad under the full cascade model: its quality times its
+    slot's prominence times the continuations of the ads above it.  NotAllocatedError if not allocated."""
     try:
         return _ctrs(instance, alloc)[ad_id]
     except KeyError:
@@ -337,35 +334,50 @@ def ctr(instance: AuctionInstance, alloc: Allocation, ad_id: int) -> float:
 
 def social_welfare(instance: AuctionInstance, alloc: Allocation) -> float:
     """Expected welfare of an allocation: sum of weighted value times CTR weight."""
-    positions = slot_positions(instance, alloc)
     prom = instance.ladder.prominences
+    _, _, cont, wv = instance._lists
+    index = instance._index
     total = 0.0
     through = 1.0
-    for pos, aid in zip(positions, alloc.slots):
-        ad = instance.ad(aid)
-        total += ad.weighted_value * (prom[pos - 1] * through)
-        through *= ad.continuation
+    try:  # a scalar loop over at most K ads, with the lookups inlined: it runs per rerun
+        for pos, aid in zip(slot_positions(instance, alloc), alloc.slots):
+            i = index[aid]
+            total += wv[i] * (prom[pos - 1] * through)
+            through *= cont[i]
+    except KeyError as exc:
+        raise InvalidAllocationError(f"unknown ad id {exc.args[0]}") from None
     return total
 
 
-def _number(x: Any, path: str, *args: object) -> float:
-    """``float(x)`` for an int or float that is not a bool; ``path.format(*args)`` names ``x`` in an error."""
+def _number(x: Any, path: str) -> float:
+    """``float(x)`` for an int or float that is not a bool; ``path`` names ``x`` in an error."""
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         try:
             return float(x)
         except OverflowError:
-            raise InstanceFormatError(f"{path.format(*args)}: integer too large for a float") from None
-    raise InstanceFormatError(f"{path.format(*args)}: must be a number, got {x!r}")
+            raise InstanceFormatError(f"{path}: integer too large for a float") from None
+    raise InstanceFormatError(f"{path}: must be a number, got {x!r}")
+
+
+def _check_entry(i: int, entry: Any) -> None:
+    """Raises the first error of ``ads[i]``: its shape, then its field types, then its ranges."""
+    if not isinstance(entry, dict):
+        raise InstanceFormatError(f"ads[{i}]: must be an object")
+    try:
+        aid, *fields = (entry[key] for key in ("id", "v", "q", "c"))
+    except KeyError as exc:
+        raise InstanceFormatError(f"ads[{i}].{exc.args[0]}: missing required field") from None
+    if not isinstance(aid, int) or isinstance(aid, bool) or not -(1 << 63) <= aid < 1 << 63:
+        raise InstanceFormatError(f"ads[{i}].id: must be an integer within 64 bits, got {_shown(aid)}")
+    fields = [_number(x, f"ads[{i}].{key}") for x, key in zip(fields, "vqc")]
+    for x, name, hi in zip(fields, ("value", "quality", "continuation"), (math.inf, 1.0, 1.0)):
+        _check_field(x, f"ads[{i}]: ad {aid}: {name}", hi)
 
 
 def instance_from_dict(doc: Any) -> AuctionInstance:
-    """Builds an instance from a parsed JSON document of the README's schema.
-
-    Only the document's shape and field types are checked here; ``Ad``,
-    ``SlotLadder`` and ``AuctionInstance`` check the values (ranges, factor
-    count, distinct ids, at least K ads).  Each error message starts with
-    the path of the bad element, e.g. ``lambdas[2]``, ``ads[3].v``, ``ads[3]``.
-    """
+    """Builds an instance from a parsed JSON document of the README's schema.  The ads are read a
+    column at a time; on any error, one by one, so that each message starts with the path of the
+    first bad element, e.g. ``lambdas[2]``, ``ads[3].v``, ``ads[3]``."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level document must be an object")
     for key in ("K", "lambdas", "ads"):
@@ -377,40 +389,26 @@ def instance_from_dict(doc: Any) -> AuctionInstance:
     lambdas = doc["lambdas"]
     if not isinstance(lambdas, list):
         raise InstanceFormatError("lambdas: must be an array")
-    factors = [_number(f, "lambdas[{}]", i) for i, f in enumerate(lambdas)]
-    ladder = SlotLadder.from_factors(factors, num_slots=k)
+    ladder = SlotLadder.from_factors([_number(f, f"lambdas[{i}]") for i, f in enumerate(lambdas)], num_slots=k)
     raw_ads = doc["ads"]
     if not isinstance(raw_ads, list):
         raise InstanceFormatError("ads: must be an array")
-    ads = []
+    try:
+        columns = [[entry[key] for entry in raw_ads] for key in ("id", "v", "q", "c")]
+        if (set(map(type, raw_ads)) <= {dict} and set(map(type, columns[0])) <= {int}
+                and set(map(type, chain(*columns[1:]))) <= {int, float}):
+            return AuctionInstance.from_columns(*columns, ladder)
+    except (LookupError, TypeError, OverflowError, InstanceFormatError):
+        pass
     for i, entry in enumerate(raw_ads):
-        if not isinstance(entry, dict):
-            raise InstanceFormatError(f"ads[{i}]: must be an object")
-        try:
-            aid, v, q, c = entry["id"], entry["v"], entry["q"], entry["c"]
-        except KeyError as exc:
-            raise InstanceFormatError(f"ads[{i}].{exc.args[0]}: missing required field") from None
-        if not isinstance(aid, int) or isinstance(aid, bool):
-            raise InstanceFormatError(f"ads[{i}].id: must be an integer, got {aid!r}")
-        v = _number(v, "ads[{}].v", i)
-        q = _number(q, "ads[{}].q", i)
-        c = _number(c, "ads[{}].c", i)
-        try:
-            ads.append(Ad(aid, v, q, c))
-        except InstanceFormatError as exc:
-            raise InstanceFormatError(f"ads[{i}]: {exc}") from None
-    return AuctionInstance(tuple(ads), ladder)
+        _check_entry(i, entry)
+    return AuctionInstance.from_columns(*columns, ladder)  # raises the error no single entry has
 
 
 def instance_to_dict(instance: AuctionInstance) -> dict[str, Any]:
-    return {
-        "K": instance.num_slots,
-        "lambdas": [float(f) for f in instance.ladder.factors],
-        "ads": [
-            {"id": ad.id, "v": ad.value, "q": ad.quality, "c": ad.continuation}
-            for ad in instance.ads
-        ],
-    }
+    value, quality, cont, _ = instance._lists
+    ads = [{"id": aid, "v": v, "q": q, "c": c} for aid, v, q, c in zip(instance.ids, value, quality, cont)]
+    return {"K": instance.num_slots, "lambdas": [float(f) for f in instance.ladder.factors], "ads": ads}
 
 
 def dump_instance(instance: AuctionInstance) -> str:

@@ -345,8 +345,8 @@ def rank_vectors(instance: AuctionInstance, params: DominanceParams) -> dict[int
     r0b = _corner_ranks(wv, cont, 0.0, b)
     rlb = _corner_ranks(wv, cont, lm, b)
     return {
-        ad.id: RankVector(at_zero=(int(r00[i]), int(rl0[i])), at_bound=(int(r0b[i]), int(rlb[i])))
-        for i, ad in enumerate(instance.ads)
+        aid: RankVector(at_zero=(int(r00[i]), int(rl0[i])), at_bound=(int(r0b[i]), int(rlb[i])))
+        for i, aid in enumerate(instance.ids)
     }
 
 
@@ -417,14 +417,15 @@ def _fast_counts(instance: AuctionInstance, params: DominanceParams) -> np.ndarr
     """
     ranks = rank_vectors(instance, params)
     n = instance.num_ads
-    ads = instance.ads
-    at_zero = [ranks[ad.id].at_zero for ad in ads]
-    at_bound = [ranks[ad.id].at_bound for ad in ads]
+    ids = instance.ids
+    at_zero = [ranks[aid].at_zero for aid in ids]
+    at_bound = [ranks[aid].at_bound for aid in ids]
+    cont = instance.continuation.tolist()
 
     low = _PlaneCounter(at_bound, active=True)
     high = _PlaneCounter(at_zero, active=False)
     counts = np.zeros(n, dtype=np.int64)
-    scan = sorted(range(n), key=lambda i: (-ads[i].continuation, ads[i].id))
+    scan = sorted(range(n), key=lambda i: (-cont[i], ids[i]))
     for i in scan:
         z1, z2 = at_zero[i]
         b1, b2 = at_bound[i]
@@ -444,7 +445,7 @@ def count_dominators_fast(instance: AuctionInstance, params: DominanceParams) ->
         counts = _fast_counts(instance, params)
     except DominanceTieError:
         return count_dominators_naive(instance, params)
-    return {ad.id: int(c) for ad, c in zip(instance.ads, counts)}
+    return dict(zip(instance.ids, counts.tolist()))
 
 
 def prune_instance(

@@ -88,7 +88,7 @@ def _density_order(instance: AuctionInstance, lam: float) -> np.ndarray:
     denom = 1.0 - lam * cont
     live = denom > 0.0
     key = np.where(live, -(wv / np.where(live, denom, 1.0)), -np.inf)
-    return np.lexsort((instance._id_array, key))
+    return np.lexsort((instance.id_array, key))
 
 
 def natural_order(instance: AuctionInstance) -> AdOrder:
@@ -104,7 +104,7 @@ def reverse_natural_order(instance: AuctionInstance) -> AdOrder:
 def random_order(instance: AuctionInstance, seed: int, index: int) -> AdOrder:
     """Uniform random permutation drawn from the stream (seed, index)."""
     rng = np.random.default_rng((seed, index))
-    return tuple(int(x) for x in rng.permutation(instance._id_array))
+    return tuple(int(x) for x in rng.permutation(instance.id_array))
 
 
 # One VCG outcome alternates between the reported n-ad instance and its
@@ -129,10 +129,10 @@ def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
 
 def _order_indices(instance: AuctionInstance, order: Sequence[int]) -> np.ndarray:
     """Ad-array index of each id in ``order``, which must list every ad once."""
-    index = instance._index
-    if len(order) != len(index) or set(order) != index.keys():
+    idx = instance.indices(order)
+    if len(idx) != instance.num_ads or len(set(idx)) != len(idx):
         raise InvalidAllocationError("order must be a permutation of the instance's ad ids")
-    return np.array([index[aid] for aid in order], dtype=np.int64)
+    return np.array(idx, dtype=np.int64)
 
 
 def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> np.ndarray:
@@ -222,8 +222,7 @@ def multi_order_approx(
 
     values = _dp_values_batch(instance, order_mat)
     best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
-    ids = instance._id_array
-    result = sorted_ads(instance, tuple(int(x) for x in ids[order_mat[best]]))
+    result = sorted_ads(instance, tuple(instance.id_array[order_mat[best]].tolist()))
     return SortedDpResult(value=result.value, alloc=result.alloc, order_index=best)
 
 

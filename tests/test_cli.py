@@ -244,6 +244,17 @@ def test_solve_rejects_value_too_large_for_a_float(tmp_path, capsys):
     assert err.startswith("error: ads[0]")
 
 
+@pytest.mark.parametrize("command", [["solve", "--algo", "exact"], ["solve", "--algo", "sorted"], ["prune"]])
+def test_id_outside_int64_is_an_error(tmp_path, capsys, command):
+    doc = json.loads(write_instance(tmp_path).read_text())
+    doc["ads"][0]["id"] = 2**70
+    path = tmp_path / "huge_id.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], "--input", str(path), *command[1:])
+    assert code == 1
+    assert err.startswith("error: ads[0].id: ")
+
+
 def test_verify_lemma_green(capsys):
     code, out, err = run_cli(capsys, "verify-lemma", "--name", "gsp-sw-pos")
     assert code == 0

@@ -23,7 +23,6 @@ from cascade_auctions import (
 from cascade_auctions import coloring, sorted_dp
 from cascade_auctions.coloring import colored_ads
 from cascade_auctions.harness import DEFAULT_SLOT_FACTORS, GeneratorConfig, generate_instance
-from cascade_auctions.mechanisms import _truncated
 from cascade_auctions.sorted_dp import multi_order_approx
 from conftest import two_ad_instance
 
@@ -287,11 +286,20 @@ def test_vcg_apdc_outputs_match_recorded_values(case):
         assert got == APDC_GOLDEN[case]
 
 
+def _dropped(instance, aid):
+    """The instance without one ad, built ad by ad, on the first min(K, n-1)
+    slots; None when no ad remains."""
+    ads = tuple(ad for ad in instance.ads if ad.id != aid)
+    if not ads:
+        return None
+    return AuctionInstance(ads, SlotLadder(instance.ladder.factors[: min(instance.num_slots, len(ads))]))
+
+
 def _rerun_values(reported, allocator, seed, kwargs):
     """The allocator's value on each leave-one-out instance, one full call each."""
     values = []
     for aid in reported.ids:
-        reduced = _truncated(reported, aid)
+        reduced = _dropped(reported, aid)
         if reduced is None:
             values.append(0.0)
         elif allocator == "colored":

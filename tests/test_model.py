@@ -133,7 +133,9 @@ def test_instance_lookup_and_views():
 
 def test_instance_arrays_built_once_and_read_only():
     inst = load_instance(dump_instance(two_ad_instance()))
-    assert "_arrays" not in vars(inst)  # loading builds no arrays
+    # neither loading nor replacing values builds Ad objects
+    assert "ads" not in vars(inst)
+    assert "ads" not in vars(inst.with_values({1: 3.0}))
     before = repr(inst)
     wv, cont = inst.arrays()
     again = inst.arrays()
@@ -169,6 +171,10 @@ def test_instance_with_values():
     assert reported.ad(1).quality == 1.0
     assert reported.ad(2).value == 2.0  # missing ids keep their value
     assert inst.ad(1).value == 1.0  # original untouched
+    # a bad value is an error naming the ad and the field, as Ad's own check is
+    for bad in (-1.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(InstanceFormatError, match="^ad 2: value must be a finite number >= 0"):
+            inst.with_values({1: 3.0, 2: bad})
 
 
 def test_allocation_rejects_repeats():
@@ -235,10 +241,12 @@ def test_ctrs_match_the_scan_by_repr():
 def test_ids_and_ladder_tables_are_built_once():
     inst = two_ad_instance()
     assert isinstance(inst.ids, tuple) and inst.ids is inst.ids
-    ids = inst._id_array
-    assert ids.dtype == np.int64 and ids.tolist() == [1, 2] and ids is inst._id_array
-    with pytest.raises(ValueError):
-        ids[0] = 5
+    ids = inst.id_array
+    assert ids.dtype == np.int64 and ids.tolist() == [1, 2] and ids is inst.id_array
+    for column in (ids, inst.value, inst.quality, inst.continuation, inst.wv):
+        assert len(column) == inst.num_ads
+        with pytest.raises(ValueError):
+            column[0] = 5
     ladder = inst.ladder
     assert ladder.prominences is ladder.prominences
     assert ladder.effective_factors is ladder.effective_factors
@@ -405,6 +413,17 @@ MALFORMED = [
     # ads: the set, checked by AuctionInstance
     (ad_with("id", 1, i=1), "ads:"),
     ({"K": 2, "lambdas": [0.5], "ads": [{"id": 1, "v": 1.0, "q": 0.5, "c": 0.5}]}, "ads:"),
+    # ads: ids must fit the int64 id column
+    ({"K": 2, "lambdas": [0.5], "ads": [{"id": 2**70, "v": 1.0, "q": 0.5, "c": 0.5},
+                                       {"id": 2, "v": 2.0, "q": 1.0, "c": 0.8}]}, "ads[0].id:"),
+    (ad_with("id", 2**63), "ads[0].id:"),
+    (ad_with("id", -(2**63) - 1), "ads[0].id:"),
+    (ad_with("id", HUGE, i=1), "ads[1].id:"),
+    # the largest and smallest int64 ids pass, so the error is the next ad's
+    ({"K": 2, "lambdas": [0.5], "ads": [{"id": 2**63 - 1, "v": 1.0, "q": 0.5, "c": 0.5},
+                                       {"id": 2**63, "v": 2.0, "q": 1.0, "c": 0.8}]}, "ads[1].id:"),
+    ({"K": 2, "lambdas": [0.5], "ads": [{"id": -(2**63), "v": 1.0, "q": 0.5, "c": 0.5},
+                                       {"id": -(2**63) - 1, "v": 2.0, "q": 1.0, "c": 0.8}]}, "ads[1].id:"),
 ]
 
 
@@ -413,3 +432,131 @@ def test_json_rejects_malformed(doc, path_prefix):
     with pytest.raises(InstanceFormatError) as excinfo:
         instance_from_dict(doc)
     assert str(excinfo.value).startswith(path_prefix)
+
+
+def test_ids_at_the_int64_bounds_round_trip():
+    doc = valid_doc()
+    doc["ads"][0]["id"], doc["ads"][1]["id"] = 2**63 - 1, -(2**63)
+    inst = instance_from_dict(doc)
+    assert inst.ids == (2**63 - 1, -(2**63)) and inst.id_array.dtype == np.int64
+    assert json.loads(dump_instance(inst)) == doc
+
+
+@pytest.mark.parametrize("bad", [2**63, 2**70, -(2**63) - 1, 1.5, "7"])
+def test_instance_rejects_an_id_outside_int64(bad):
+    ads = (Ad(1, 1.0, 0.5, 0.5), Ad(bad, 1.0, 0.5, 0.5))
+    with pytest.raises(InstanceFormatError, match=f"^ad {bad!r}: id must be an integer within 64 bits"):
+        AuctionInstance(ads, SlotLadder.from_factors([], 1))
+
+
+def test_derived_instances_reject_unknown_ids():
+    inst = AuctionInstance(
+        ads=(Ad(1, 1.0, 1.0, 0.5), Ad(2, 2.0, 0.5, 0.0), Ad(3, 1.0, 0.5, 0.5)),
+        ladder=SlotLadder.from_factors([0.5], 2),
+    )
+    for derive in (lambda: inst.with_values({999: 5.0}), lambda: inst.with_values({2: 1.0, 999: 5.0}),
+                   lambda: inst.restricted_to([3, 2, 999]), lambda: inst.without(999)):
+        with pytest.raises(InvalidAllocationError, match="999"):
+            derive()
+    # a partial map replaces only the values it names
+    assert [ad.value for ad in inst.with_values({2: 5.0}).ads] == [1.0, 5.0, 1.0]
+
+
+def _same_instance(got, ads, ladder):
+    """``got`` equals, hashes and prints as the instance built from the Ad tuple."""
+    want = AuctionInstance(tuple(ads), ladder)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and dump_instance(got) == dump_instance(want)
+
+
+def test_derived_instances_match_instances_built_from_ads():
+    from cascade_auctions.model import _leave_one_out_context
+
+    # int fields and signed zeros; ints are stored as floats
+    ads = (Ad(1, 10, 1, 0), Ad(2, -0.0, 0.5, 0.5), Ad(3, 2.5, -0.0, 1), Ad(4, 3, 0.25, -0.0))
+    ladder = SlotLadder.from_factors([0.5, 0.25], 3)
+    inst = AuctionInstance(ads, ladder)
+    _same_instance(inst, ads, ladder)
+    assert repr(inst.ad(1)) == "Ad(id=1, value=10.0, quality=1.0, continuation=0.0)"
+    assert '"v":10.0' in dump_instance(inst)
+    _same_instance(inst.with_values({1: 7, 3: -0.0}),
+                   (Ad(1, 7, 1, 0), ads[1], Ad(3, -0.0, -0.0, 1), ads[3]), ladder)
+    _same_instance(inst.with_values({}), ads, ladder)
+    _same_instance(inst.restricted_to([4, 2, 1]), (ads[0], ads[1], ads[3]), ladder)
+    _same_instance(inst.without(3), (ads[0], ads[1], ads[3]), ladder)
+    _same_instance(_leave_one_out_context(inst), ads, ladder)  # n-1 = K: no slot is cut
+    three = inst.without(4)
+    _same_instance(_leave_one_out_context(three), ads[:3], SlotLadder(ladder.factors[:2]))
+    # a signed zero equals the unsigned one, as floats do
+    zero = inst.with_values({2: 0.0})
+    assert zero == inst and hash(zero) == hash(inst) and repr(zero) != repr(inst)
+
+
+# sha256 of dump_instance, recorded before the instance became columnar:
+# the columns must not change a byte of a generated or catalog instance
+DUMP_SHA256 = {
+    "generated": "b3f7e340416a1cb5a440ccc244768a35c4288bf1be53aacc249f6e2bd2d65ff7",
+    "gsp-not-ir": "28f80c90bffec77dc2ec697828d845e2f015a2d1505d99e4f99021067e44ac86",
+    "gsp-sw-poa-ovb": "027038d5cd8c2726713f90341a88dd98cf5ec1e648df9c782787ab588197b7b9",
+    "gsp-sw-poa-noovb": "c2787c65d976d7cf6b637e266950f620faec1a38df51e43f72c2d650d271af81",
+    "gsp-rev-poa": "2c749bfa779b908991852a1fc9e652219408adaf87d7db316d379466f2402639",
+    "gsp-sw-pos": "fa6aad05a7ce2acd42da20a3b7f51f73cc1ede27f5f2666dd09f7949525b6be2",
+    "gsp-rev-pos": "934a232cbddbdb1dccafdf1d885b971e98f14343f8ed252da55e00278ac169b2",
+    "vcgpd-not-ir": "28f80c90bffec77dc2ec697828d845e2f015a2d1505d99e4f99021067e44ac86",
+    "vcgpd-sw-poa-ovb": "dd7f9200e34c4087efe58671f2b525c8e4be5475189a7df85b888e9143223cf8",
+    "vcgpd-sw-poa-noovb": "c2787c65d976d7cf6b637e266950f620faec1a38df51e43f72c2d650d271af81",
+    "vcgpd-rev-poa": "9bd8c2290985a1c82dbaa10e501dda3b6474c11d58bbcb4411f79895108a4afa",
+    "vcgpd-sw-pos": "fa6aad05a7ce2acd42da20a3b7f51f73cc1ede27f5f2666dd09f7949525b6be2",
+    "vcgpd-rev-pos-ovb": "d199838801f5701d9af3a2cfb753d8cc8435a6337c53caa1c13c05972fbf1a28",
+    "vcgpd-rev-pos-noovb": "0b8bd3f85c01c3a61e6e993116f76e76e7cf501a09d79ae23876d46f2f807992",
+}
+
+
+def test_dump_bytes_are_pinned():
+    import hashlib
+
+    from cascade_auctions.counterexamples import catalog_names, lemma_instance
+    from cascade_auctions.harness import GeneratorConfig, generate_instance
+
+    assert sorted(catalog_names()) == sorted(set(DUMP_SHA256) - {"generated"})
+    instances = {name: lemma_instance(name).instance for name in catalog_names()}
+    instances["generated"] = generate_instance(GeneratorConfig(num_ads=1000, num_slots=5, seed=1))
+    for name, inst in instances.items():
+        text = dump_instance(inst)
+        assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name], name
+        assert dump_instance(load_instance(text)) == text
+
+
+def test_no_ad_objects_on_the_hot_paths(monkeypatch):
+    from cascade_auctions import (
+        colored_ads,
+        multi_order_approx,
+        prune_instance,
+        solve_exact,
+        truthful_profile,
+        vcg_apdc_outcome,
+    )
+    from cascade_auctions.harness import GeneratorConfig, generate_instance
+
+    text = dump_instance(generate_instance(GeneratorConfig(num_ads=1000, num_slots=5, seed=1)))
+    small = generate_instance(GeneratorConfig(num_ads=6, num_slots=3, seed=2))
+    built = []
+    check = Ad.__post_init__
+
+    def counting(ad):
+        built.append(ad.id)
+        check(ad)
+
+    monkeypatch.setattr(Ad, "__post_init__", counting)
+    Ad(1, 1.0, 0.5, 0.5)
+    assert built == [1]  # the counter sees every Ad built
+    built.clear()
+    pruned, _ = prune_instance(load_instance(text))
+    warm = multi_order_approx(pruned, seed=1, include_natural=False)
+    assert solve_exact(pruned, budget=10**7, warm_start=warm.alloc.slots).complete
+    colored_ads(pruned, seed=1)
+    assert built == []
+    profile = truthful_profile(small)
+    for allocator in ("exact", "colored", "sorted"):
+        vcg_apdc_outcome(small, profile, allocator=allocator, seed=1)
+        assert built == [], allocator
