@@ -10,13 +10,14 @@ the K ads of an optimal allocation distinct colors.  Repeating R
 independent passes misses with probability at most (1 - e^-K)^R, about 1/2
 at the default R = ceil(e^K * ln 2).
 
-One numpy kernel runs the DP for a whole batch of colorings at once, with
-the 2^K color subsets on the first axis of its memo table.  No choice table
-is kept: the winning allocation is replayed from the winning pass's memo
-column, taking at each state the first ad whose value reproduces the memo
-entry exactly.  colored_pass is the same kernel on a batch of one, and
-_leave_one_out_values runs it on the passes of every instance that drops
-one ad at once, for a VCG outcome's prices.
+One numpy kernel, _pass_memo, runs the DP for a whole batch of colorings
+at once, with the 2^K color subsets on the first axis of its memo table;
+each state reads K predecessors per coloring, one per color, not one per
+ad.  No choice table is kept: the winning allocation is replayed from the
+winning pass's memo column, taking at each state the first ad whose value
+reproduces the memo entry exactly.  colored_pass is the same kernel on a
+batch of one, and _leave_one_out_values runs it on the passes of every
+instance that drops one ad at once, for a VCG outcome's prices.
 
 The colorings of a batch are a pure function of (ads, colors, chunk,
 seed, batch index): no value or bid enters them.  colored_ads therefore
@@ -39,15 +40,9 @@ import numpy as np
 from .model import Allocation, AuctionError, AuctionInstance, _leave_one_out_context
 
 __all__ = [
-    "Coloring",
-    "NoColoringsError",
-    "ColorPassResult",
-    "ColoredResult",
-    "default_iterations",
-    "miss_probability_bound",
-    "draw_colorings",
-    "colored_pass",
-    "colored_ads",
+    "Coloring", "NoColoringsError", "ColorPassResult", "ColoredResult",
+    "default_iterations", "miss_probability_bound", "draw_colorings",
+    "colored_pass", "colored_ads",
 ]
 
 Coloring = tuple[int, ...]
@@ -101,16 +96,13 @@ def _surjection_table(num_ads: int, num_colors: int) -> tuple[tuple[int, ...], .
     so the bigint-to-float ratios below stay in range.
     """
     k = num_colors
-    table = []
-    for n in range(num_ads + 1):
-        row = []
-        for u in range(k + 1):
-            total = sum(
-                (-1) ** j * math.comb(u, j) * (k - j) ** n for j in range(u + 1)
-            )
-            row.append(total)
-        table.append(tuple(row))
-    return tuple(table)
+    return tuple(
+        tuple(
+            sum((-1) ** j * math.comb(u, j) * (k - j) ** n for j in range(u + 1))
+            for u in range(k + 1)
+        )
+        for n in range(num_ads + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +121,10 @@ def _new_color_probabilities(num_ads: int, num_colors: int) -> np.ndarray:
     for i in range(num_ads):
         m = num_ads - i
         for s in range(k + 1):
-            u = k - s
-            if u == 0:
-                probs[i, s] = 0.0
-            elif u > m:
+            u = k - s  # u == 0 keeps 0.0
+            if u > m:
                 probs[i, s] = 1.0
-            else:
+            elif u:
                 probs[i, s] = u * table[m - 1][u - 1] / table[m][u]
     return probs
 
@@ -226,28 +216,24 @@ def _seeded_block(
 
 
 @lru_cache(maxsize=None)
-def _subset_order(num_colors: int) -> tuple[int, ...]:
-    """Nonempty color subsets in increasing-size order."""
-    return tuple(sorted(range(1, 1 << num_colors), key=int.bit_count))
+def _subset_order(num_colors: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Nonempty subsets s by increasing size: (s, |s|, read-only s ^ (1 << c))."""
+    order = sorted(range(1, 1 << num_colors), key=int.bit_count)
+    preds = np.array(order)[:, None] ^ (1 << np.arange(num_colors))
+    preds.flags.writeable = False
+    return tuple(zip(order, map(int.bit_count, order), preds))
 
 
 def _lam_by_size(instance: AuctionInstance) -> np.ndarray:
-    """Continuation multiplier for the slot a subset of size t starts at."""
-    lam_eff = instance.ladder.effective_factors
-    k = instance.num_slots
-    out = np.zeros(k + 1, dtype=float)
-    for t in range(1, k + 1):
-        out[t] = lam_eff[k - t]
-    return out
+    """Continuation multiplier for the slot a subset of size t >= 1 starts at."""
+    return np.array((0.0, *instance.ladder.effective_factors[::-1]))
 
 
 def _check_coloring(instance: AuctionInstance, coloring: Sequence[int]) -> np.ndarray:
     k = instance.num_slots
     arr = np.asarray(coloring, dtype=np.int64)
     if arr.shape != (instance.num_ads,):
-        raise ValueError(
-            f"coloring has {arr.size} entries for {instance.num_ads} ads"
-        )
+        raise ValueError(f"coloring has {arr.size} entries for {instance.num_ads} ads")
     if arr.min() < 1 or arr.max() > k:
         raise ValueError(f"colors must lie in 1..{k}")
     if len(np.unique(arr)) != k:
@@ -261,31 +247,41 @@ def _pass_memo(
     """Subset DP of every coloring row at once.
 
     ``memo[s, r]`` is the best welfare of the last |s| slots using one ad
-    per color of s under coloring row r.  States run in increasing-size
-    order, so ``memo[s ^ bit]`` is final when state s reads it.  Each
-    candidate is ``wv + (c * lambda) * prev`` in that order of operations
-    and the max over ads is exact, so a pass's column is the same, bit for
-    bit, whatever batch it runs in; _backtrack relies on recomputing it.
-
-    Row r colors the instance's ads in order, or, given ``ads``, the ads
-    at indices ``ads[:, r]``.
+    per color of s under coloring row r, which colors the instance's ads
+    in order or, given ``ads``, the ads at indices ``ads[:, r]``.  States
+    run in increasing-size order, so ``memo[s ^ bit]`` is final when s
+    reads it.  That predecessor depends only on an ad's color: each state
+    gathers the K of them per row and spreads them to the ads through one
+    fixed index.  An ad whose color s lacks reads ``s | bit``, still at
+    its initial -inf, and gets -inf, or NaN where a zero factor or
+    continuation makes its scale 0; ``fmax`` skips both, so no mask is
+    needed.  Each candidate is ``wv + (c * lambda) * prev`` in that order
+    of operations, and a column's max involves no other column and is
+    exact, so a pass's column is the same, bit for bit, whatever batch it
+    runs in; _backtrack relies on recomputing it.
     """
     wv, cont = instance.arrays()
     if ads is None:
         wv, cont = wv[:, None], cont[:, None]
     else:
         wv, cont = wv[ads], cont[ads]
-    bits = np.left_shift(np.int64(1), colorings.T - 1)  # (n, rows)
-    rows = bits.shape[1]
+    k = instance.num_slots
+    rows = colorings.shape[0]
     lam_by_size = _lam_by_size(instance)
-    # zeros, not empty: inactive candidates read the unfilled state s | bit
-    memo = np.zeros((1 << instance.num_slots, rows))
-    flat = memo.reshape(-1)
-    col = np.arange(rows)
-    for s in _subset_order(instance.num_slots):
-        prev = flat.take((s ^ bits) * rows + col)
-        cand = wv + (cont * lam_by_size[s.bit_count()]) * prev
-        memo[s] = np.where(bits & s, cand, -math.inf).max(axis=0)
+    # ad a of row r reads entry (color - 1, r) of the (K, rows) table
+    spread = colorings.T * rows + np.arange(-rows, 0)
+    memo = np.full((1 << k, rows), -math.inf)
+    memo[0] = 0.0
+    size = 0
+    with np.errstate(invalid="ignore"):  # 0 * -inf on inactive ads
+        for s, t, preds in _subset_order(k):
+            if t != size:
+                size = t
+                scale = cont * lam_by_size[size]
+            cand = memo[preds].take(spread)
+            cand *= scale
+            cand += wv
+            memo[s] = np.fmax.reduce(cand, axis=0)
     return memo
 
 
@@ -296,7 +292,8 @@ def _backtrack(
 
     Each slot goes to the lowest-index active ad whose recomputed
     candidate equals the memo entry exactly, the ad a strict ``>`` scan
-    over ads in index order keeps.
+    over ads in index order keeps.  Every state is filled by now, so an
+    inactive ad's candidate is finite and could match: the mask stays.
     """
     wv, cont = instance.arrays()
     bits = np.left_shift(np.int64(1), colors - 1)
@@ -321,11 +318,8 @@ def colored_pass(instance: AuctionInstance, coloring: Sequence[int]) -> ColorPas
     """
     colors = _check_coloring(instance, coloring)
     memo = _pass_memo(instance, colors[None, :])[:, 0]
-    return ColorPassResult(
-        value=float(memo[-1]),
-        alloc=_backtrack(instance, colors, memo),
-        coloring=tuple(int(c) for c in colors),
-    )
+    alloc = _backtrack(instance, colors, memo)
+    return ColorPassResult(float(memo[-1]), alloc, tuple(int(c) for c in colors))
 
 
 def colored_ads(
@@ -381,14 +375,20 @@ def colored_ads(
     )
 
 
-# memo and candidate entries per kernel call of _leave_one_out_values
 _LEAVE_ONE_OUT_BLOCK = 1 << 17
 
 
+def _leave_one_out_group(num_ads: int, num_slots: int, take: int) -> int:
+    """Dropped ads, of ``take`` columns each, per kernel call: about
+    _LEAVE_ONE_OUT_BLOCK entries of memo (2^K per column) and of the seven
+    (n-1)-entry arrays per column, the ad indices, tiled colorings, wv,
+    continuations, scale, spread index and candidates."""
+    per_column = (1 << num_slots) + 7 * num_ads
+    return max(1, _LEAVE_ONE_OUT_BLOCK // (take * per_column))
+
+
 def _leave_one_out_values(
-    instance: AuctionInstance,
-    iterations: int | None = None,
-    seed: int = 0,
+    instance: AuctionInstance, iterations: int | None = None, seed: int = 0,
     chunk: int = 2048,
 ) -> np.ndarray:
     """Value of colored_ads without each ad, for every ad at once.
@@ -402,8 +402,8 @@ def _leave_one_out_values(
     instance's pass, and _pass_memo gives it the same floats in any batch.
     Passes are compared as colored_ads compares them: the first maximum
     within a batch, replaced only by a strictly larger one in a later
-    batch.  The columns of several j's share one kernel call, at most
-    about _LEAVE_ONE_OUT_BLOCK entries of memo and candidates.
+    batch.  The columns of several j's share one kernel call, which holds
+    at most about _LEAVE_ONE_OUT_BLOCK entries (see _leave_one_out_group).
     """
     n = instance.num_ads
     if n == 1:
@@ -422,7 +422,7 @@ def _leave_one_out_values(
     for done in range(0, iterations, chunk):
         take = min(chunk, iterations - done)
         block = _seeded_block(n - 1, k, chunk, seed, done // chunk, take)
-        group = max(1, _LEAVE_ONE_OUT_BLOCK // (take * ((1 << k) + n)))
+        group = _leave_one_out_group(n, k, take)
         for start in range(0, n, group):
             drop = np.arange(start, min(start + group, n))
             ads = np.repeat(local + (local >= drop), take, axis=1)  # (n-1, group*take)

@@ -57,9 +57,10 @@ def _shown(x: Any) -> str:
 
 
 def _check_field(x: Any, where: str, hi: float = 1.0) -> None:
-    """Raises InstanceFormatError starting with ``where`` unless x is a number in [0, hi] that fits a finite float."""
+    """Raises InstanceFormatError starting with ``where`` unless x is a number in [0, hi] that fits a finite
+    float; a bool is not a number here, as in the loader."""
     with suppress(TypeError, OverflowError):
-        if 0.0 <= x <= hi and math.isfinite(x):
+        if 0.0 <= x <= hi and math.isfinite(x) and not isinstance(x, (bool, np.bool_)):
             return
     rule = "a finite number >= 0" if hi == math.inf else f"a number within [0, {hi:g}]"
     raise InstanceFormatError(f"{where} must be {rule}, got {_shown(x)}")
@@ -261,13 +262,20 @@ class AuctionInstance:
         return self._subset(ids, keep=True)
 
     def with_values(self, values: Mapping[int, float]) -> AuctionInstance:
-        """Copy with the per-click values of the given ids replaced (used for reported bids)."""
+        """Copy with the per-click values of the given ids replaced (used for reported bids); a value
+        that ``Ad`` would reject is an error naming its ad."""
+        try:
+            new = np.fromiter(values.values(), float, len(values))
+        except (TypeError, ValueError, OverflowError):
+            new = None
+        # cheaper than two reductions at VCG sizes; np.fromiter would take "1.0" and True silently
+        if new is None or not all(type(v) in (float, int) and 0.0 <= v < math.inf for v in values.values()):
+            for aid, x in values.items():
+                _check_field(x, f"ad {aid}: value", math.inf)  # names the first bad ad
+            new = np.fromiter(values.values(), float, len(values))
         table = self._table.copy()
-        new = np.fromiter(values.values(), float, len(values))
         table[0][self.indices(values)] = new
         np.multiply(table[1], table[0], out=table[3])
-        if not all(0.0 <= v < math.inf for v in new.tolist()):  # cheaper than two reductions at VCG sizes
-            _check_table(self.id_array, table)  # names the first bad ad
         return self._of(self.id_array, table, self.ladder)
 
 

@@ -198,6 +198,71 @@ def test_pass_memo_rows_match_enumeration_oracle():
         assert social_welfare(inst, alloc) == pytest.approx(value, rel=1e-12)
 
 
+def masked_pass_memo(instance, colorings, ads=None):
+    """The kernel's earlier formulation: a zero-started memo, a flat take
+    of ``memo[s ^ bit]`` for every ad and a mask of the ads whose color is
+    in s.  The kernel must give the same memo, bit for bit."""
+    wv, cont = instance.arrays()
+    if ads is None:
+        wv, cont = wv[:, None], cont[:, None]
+    else:
+        wv, cont = wv[ads], cont[ads]
+    k = instance.num_slots
+    bits = np.left_shift(np.int64(1), colorings.T - 1)
+    rows = bits.shape[1]
+    lam_by_size = np.zeros(k + 1)
+    for t in range(1, k + 1):
+        lam_by_size[t] = instance.ladder.effective_factors[k - t]
+    memo = np.zeros((1 << k, rows))
+    flat = memo.reshape(-1)
+    col = np.arange(rows)
+    for s in sorted(range(1, 1 << k), key=int.bit_count):
+        prev = flat.take((s ^ bits) * rows + col)
+        cand = wv + (cont * lam_by_size[s.bit_count()]) * prev
+        memo[s] = np.where(bits & s, cand, -math.inf).max(axis=0)
+    return memo
+
+
+def _kernel_cases():
+    """Instances and row counts: every K up to 7 at n = K, K + 1 and 3K + 8
+    (where draws switch to rejection), then a zero factor and zero
+    continuations (inactive candidates are NaN), ties and a single row."""
+    for k in range(1, 8):
+        for n in (k, k + 1, 3 * k + 8):
+            inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=n * 10 + k))
+            yield pytest.param(inst, 50, id=f"generated-{n}-{k}")
+    base = generate_instance(GeneratorConfig(num_ads=9, num_slots=4, seed=3))
+    yield pytest.param(AuctionInstance(base.ads, SlotLadder.from_factors([0.7, 0.0, 0.5], 4)), 50, id="zero-factor")
+    stops = [Ad(a.id, a.value, a.quality, 0.0 if a.id % 2 else a.continuation) for a in base.ads]
+    yield pytest.param(AuctionInstance(stops, base.ladder), 50, id="zero-continuation")
+    stops = [Ad(a.id, a.value, a.quality, 0.0) for a in base.ads]
+    yield pytest.param(AuctionInstance(stops, base.ladder), 50, id="all-zero-continuation")
+    ties = AuctionInstance([Ad(i, 1.0, 1.0, 0.5) for i in range(1, 5)], SlotLadder.from_factors([0.5], 2))
+    yield pytest.param(ties, 40, id="all-ties")
+    yield pytest.param(base, 1, id="single-row")
+
+
+@pytest.mark.parametrize("inst,rows", _kernel_cases())
+def test_pass_memo_matches_masked_formulation(inst, rows):
+    n, k = inst.num_ads, inst.num_slots
+    colorings = draw_colorings(n, k, rows, np.random.default_rng(rows + n))
+    assert _pass_memo(inst, colorings).tobytes() == masked_pass_memo(inst, colorings).tobytes()
+    if n > k:
+        # the index-matrix variant: each column reads n-1 of the n ads, as
+        # _leave_one_out_values does, against the masked kernel on the same
+        # columns and on each reduced instance alone
+        reduced_colorings = draw_colorings(n - 1, k, rows, np.random.default_rng(rows))
+        local = np.arange(n - 1)[:, None]
+        drop = np.arange(n)
+        ads = np.repeat(local + (local >= drop), rows, axis=1)
+        tiled = np.tile(reduced_colorings, (n, 1))
+        memo = _pass_memo(inst, tiled, ads)
+        assert memo.tobytes() == masked_pass_memo(inst, tiled, ads).tobytes()
+        for j in (0, n - 1):
+            alone = _pass_memo(inst.without(inst.ids[j]), reduced_colorings)
+            assert memo[:, j * rows:(j + 1) * rows].tobytes() == alone.tobytes()
+
+
 def _golden_instance(name):
     if name == "one-slot":
         return generate_instance(GeneratorConfig(num_ads=6, num_slots=1, seed=8))

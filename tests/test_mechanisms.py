@@ -346,7 +346,7 @@ def test_leave_one_out_values_match_reruns(allocator):
 
 
 @pytest.mark.parametrize("allocator,kwargs,groups", [
-    ("colored", {"iterations": 12}, coloring._LEAVE_ONE_OUT_BLOCK // (12 * ((1 << 3) + 150))),
+    ("colored", {"iterations": 12}, coloring._leave_one_out_group(150, 3, 12)),
     ("sorted", {"order_count": 8}, sorted_dp._BATCH_BLOCK // (8 * 149)),
 ])
 def test_leave_one_out_values_match_reruns_across_groups(allocator, kwargs, groups):

@@ -46,6 +46,8 @@ def test_ad_weighted_value():
         dict(value=1.0, quality=0.5, continuation=None),
         dict(value=1.0, quality=10**400, continuation=0.5),
         dict(value=1.0, quality=0.5, continuation=10**400),
+        dict(value=1.0, quality=True, continuation=0.5),
+        dict(value=1.0, quality=0.5, continuation=False),
     ],
 )
 def test_ad_validation(kwargs):
@@ -171,10 +173,16 @@ def test_instance_with_values():
     assert reported.ad(1).quality == 1.0
     assert reported.ad(2).value == 2.0  # missing ids keep their value
     assert inst.ad(1).value == 1.0  # original untouched
-    # a bad value is an error naming the ad and the field, as Ad's own check is
-    for bad in (-1.0, -math.inf, math.nan, math.inf):
-        with pytest.raises(InstanceFormatError, match="^ad 2: value must be a finite number >= 0"):
+    # a bad value is an error naming the ad and the field, as Ad's own check
+    # is, also where np.fromiter would convert it (a str, a bool) or overflow
+    for bad in (-1.0, -math.inf, math.nan, math.inf, 10**400, "1.0", True, False, np.True_, None):
+        with pytest.raises(InstanceFormatError, match="^ad 2: value must be a finite number >= 0") as exc:
             inst.with_values({1: 3.0, 2: bad})
+        assert len(str(exc.value)) < 200
+        with pytest.raises(InstanceFormatError, match="^ad 2: value "):
+            Ad(2, bad, 0.5, 0.5)
+    # numpy numbers pass the same check and are stored as floats
+    assert inst.with_values({1: np.float64(3.0), 2: np.int64(4)}).value.tolist() == [3.0, 4.0]
 
 
 def test_allocation_rejects_repeats():
