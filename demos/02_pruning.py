@@ -11,27 +11,28 @@ import time
 from cascade_auctions import (
     GeneratorConfig,
     choose_bound,
-    count_dominators_fast,
+    const_lambda_bound,
     count_dominators_naive,
+    decouple_bounds,
     generate_instance,
     prune_instance,
     solve_exact,
 )
 
 # Ad a dominates ad b when swapping a above b improves welfare in every
-# allocation. Counting dominators needs a welfare upper bound first; two
-# strategies exist and "min" takes the smaller of the two.
+# allocation. Counting dominators needs a welfare upper bound first;
+# choose_bound takes the smaller of two cheap ones.
 inst = generate_instance(GeneratorConfig(num_ads=400, num_slots=5, seed=7))
-for strategy in ("const-lambda", "decouple", "min"):
-    params = choose_bound(inst, strategy)
-    print(f"{strategy:13s} bound={params.bound:.4f} lambda_max={params.lambda_max}")
-
-# The quadratic counter and the rank-structure counter agree exactly.
+print(f"const-lambda bound={const_lambda_bound(inst):.4f}")
+print(f"decouple     bound={float(decouple_bounds(inst)[0]):.4f}")
 params = choose_bound(inst)
+print(f"chosen       bound={params.bound:.4f} lambda_max={params.lambda_max}")
+
+# The all-pairs reference counter: an ad with at least K dominators can
+# never be part of an optimal allocation.
 naive = count_dominators_naive(inst, params)
-fast = count_dominators_fast(inst, params)
-assert naive == fast
-print("dominator counts agree on", len(naive), "ads")
+print(sum(c >= inst.num_slots for c in naive.values()), "of", len(naive),
+      "ads have at least K dominators in the first round")
 
 # Pruning drops every ad with at least K dominators and repeats until
 # nothing changes; the bound can only shrink as ads disappear. Each round

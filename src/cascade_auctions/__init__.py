@@ -67,7 +67,6 @@ from .prune import (
     DominanceTieError,
     choose_bound,
     const_lambda_bound,
-    count_dominators_fast,
     count_dominators_naive,
     decouple_bounds,
     dominates,
@@ -117,7 +116,6 @@ __all__ = [
     "colored_ads",
     "colored_pass",
     "const_lambda_bound",
-    "count_dominators_fast",
     "count_dominators_naive",
     "ctr",
     "decouple_bounds",

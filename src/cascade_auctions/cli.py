@@ -66,11 +66,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     instance = _load(args.input)
-    pruned, report = prune_instance(
-        instance,
-        strategy=args.strategy,
-        discard_threshold=args.threshold,
-    )
+    pruned, report = prune_instance(instance, discard_threshold=args.threshold)
     if args.out_instance:
         with open(args.out_instance, "w") as fh:
             fh.write(dump_instance(pruned) + "\n")
@@ -216,8 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="drop dominated ads from an instance")
     p.add_argument("--input", required=True)
-    p.add_argument("--strategy", default="min",
-                   choices=("min", "const-lambda", "decouple", "aggressive"))
     p.add_argument("--threshold", type=int, default=None,
                    help="dominator count that discards an ad (default: slot count)")
     p.add_argument("--out-instance", help="write the pruned instance JSON here")

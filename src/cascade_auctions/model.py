@@ -15,7 +15,7 @@ import operator
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -144,16 +144,27 @@ def _check_table(id_array: np.ndarray, table: np.ndarray) -> None:
 
 
 def _columns(ids: Any, value: Any, quality: Any, continuation: Any) -> tuple[np.ndarray, np.ndarray]:
-    """A new int64 id array and float table (rows value, quality, continuation and wv), checked;
-    an id that is not an integer within 64 bits is an error naming it."""
-    table = np.empty((4, len(ids)))
-    table[:3] = value, quality, continuation  # a column of another length does not fit
-    np.multiply(table[1], table[0], out=table[3])
+    """A new int64 id array and float table (rows value, quality, continuation and wv), checked; an
+    id that is not an integer within 64 bits, or an entry that ``Ad`` rejects (a str or a bool, say),
+    is an error naming its ad."""
     id_array = np.array(ids)  # a Python int outside 64 bits makes an object array
-    if id_array.dtype.kind != "i" and id_array.size:
-        bad = next(a for a in ids if type(a) is not int or not -(1 << 63) <= a < 1 << 63)
-        raise InstanceFormatError(f"ad {_shown(bad)}: id must be an integer within 64 bits")
+    if id_array.dtype.kind != "i" or not isinstance(ids, np.ndarray) and not set(map(type, ids)) <= {int}:
+        for a in ids:  # a bool is not an id, as in the loader
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not -(1 << 63) <= a < 1 << 63:
+                raise InstanceFormatError(f"ad {_shown(a)}: id must be an integer within 64 bits")
     id_array = id_array.astype(np.int64)
+    columns = value, quality, continuation
+    table = np.empty((4, len(ids)))
+    try:  # numpy would read a str or a bool as a number: only numeric arrays and float or int lists go in unchecked
+        if not all(c.dtype.kind in "fiu" if isinstance(c, np.ndarray) else set(map(type, c)) <= {float, int}
+                   for c in columns):
+            raise TypeError
+        table[:3] = columns  # a column of another length does not fit
+    except (TypeError, OverflowError):
+        for aid, row in zip(id_array.tolist(), zip(*columns)):
+            Ad(aid, *row)  # raises Ad's error for the first entry it rejects
+        table[:3] = columns
+    np.multiply(table[1], table[0], out=table[3])
     _check_table(id_array, table)
     return id_array, table
 
@@ -401,12 +412,10 @@ def instance_from_dict(doc: Any) -> AuctionInstance:
     raw_ads = doc["ads"]
     if not isinstance(raw_ads, list):
         raise InstanceFormatError("ads: must be an array")
-    try:
+    try:  # a non-object entry raises TypeError; from_columns checks the entry types
         columns = [[entry[key] for entry in raw_ads] for key in ("id", "v", "q", "c")]
-        if (set(map(type, raw_ads)) <= {dict} and set(map(type, columns[0])) <= {int}
-                and set(map(type, chain(*columns[1:]))) <= {int, float}):
-            return AuctionInstance.from_columns(*columns, ladder)
-    except (LookupError, TypeError, OverflowError, InstanceFormatError):
+        return AuctionInstance.from_columns(*columns, ladder)
+    except (LookupError, TypeError, InstanceFormatError):
         pass
     for i, entry in enumerate(raw_ads):
         _check_entry(i, entry)

@@ -12,8 +12,8 @@ is affine in (x, y), so positivity over the whole scenario rectangle
 holds, a beats b in every context: any allocation placing b can be strictly
 improved by swapping a in, so an ad with at least K such dominators can
 never appear in an optimal allocation and may be dropped.  B must upper
-bound the value an allocation can accumulate; two cheap bounds are provided
-and the tighter one is used by default.
+bound the value an allocation can accumulate; choose_bound takes the
+smaller of two cheap bounds.
 
 prune_instance counts dominators with a K-skyband filter (Papadias, Tao, Fu
 and Seeger, "Progressive skyline computation in database systems", ACM
@@ -58,7 +58,6 @@ __all__ = [
     "DominanceTieError",
     "DominanceParams",
     "DominanceReport",
-    "RankVector",
     "w_value",
     "dominates",
     "const_lambda_bound",
@@ -66,7 +65,6 @@ __all__ = [
     "choose_bound",
     "rank_vectors",
     "count_dominators_naive",
-    "count_dominators_fast",
     "prune_instance",
 ]
 
@@ -99,21 +97,6 @@ class DominanceParams:
 
 
 @dataclass(frozen=True)
-class RankVector:
-    """Per-ad ranks in the four corner orderings.
-
-    ``at_zero`` holds the ranks at the two y=0 corners; they decide
-    dominance by ads with strictly larger continuation (the margin of such
-    a dominator grows with y, so its minimum sits at y=0).  ``at_bound``
-    holds the ranks at the two y=B corners, deciding dominance by ads with
-    smaller or equal continuation.  Rank 1 is the most dominant.
-    """
-
-    at_zero: tuple[int, int]
-    at_bound: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class DominanceReport:
     """What prune_instance did.
 
@@ -135,6 +118,21 @@ class DominanceReport:
     fallbacks: int
 
 
+def _margin_terms(wv_a, c_a, wv_b, c_b):
+    """The swap margin of a over b as (x coefficient, y coefficient, constant); floats or arrays.
+
+    The one home of the margin expression: every counter and ``w_value``
+    evaluate it through here and ``_margin``, so they agree bit for bit.
+    """
+    return c_a * wv_b - wv_a * c_b, c_a - c_b, wv_a - wv_b
+
+
+def _margin(terms, x: float, y: float):
+    """The margin with coefficients ``terms`` (from ``_margin_terms``) at scenario point (x, y)."""
+    x_coef, y_coef, const = terms
+    return x * x_coef + y * y_coef + const
+
+
 def w_value(a: Ad, b: Ad, x: float, y: float) -> float:
     """Swap margin of a over b at scenario point (x, y).
 
@@ -142,9 +140,7 @@ def w_value(a: Ad, b: Ad, x: float, y: float) -> float:
     out) strictly improves welfare in a context summarized by (x, y).
     Antisymmetric in (a, b).
     """
-    wa, wb = a.weighted_value, b.weighted_value
-    ca, cb = a.continuation, b.continuation
-    return x * (wb * ca - wa * cb) + y * (ca - cb) + (wa - wb)
+    return _margin(_margin_terms(a.weighted_value, a.continuation, b.weighted_value, b.continuation), x, y)
 
 
 def dominates(a: Ad, b: Ad, params: DominanceParams) -> bool:
@@ -189,33 +185,14 @@ def decouple_bounds(instance: AuctionInstance) -> np.ndarray:
     return out
 
 
-def choose_bound(instance: AuctionInstance, strategy: str = "min") -> DominanceParams:
-    """Builds the scenario rectangle for dominance checks.
-
-    Strategies: "const-lambda", "decouple", "min" (default: the smaller of
-    the two), and "aggressive" (max over k of lambda_k * UB(k+1), a valid
-    bound on the value that can sit strictly below a swapped pair; tighter
-    but less conservative).
-    """
-    lam_max = instance.ladder.max_factor
-    if strategy == "const-lambda":
-        bound = const_lambda_bound(instance)
-    elif strategy == "decouple":
-        bound = float(decouple_bounds(instance)[0])
-    elif strategy == "min":
-        return _min_params(instance, decouple_bounds(instance))
-    elif strategy == "aggressive":
-        ub = decouple_bounds(instance)
-        lam = instance.ladder.effective_factors
-        k = instance.num_slots
-        bound = max((lam[i] * float(ub[i + 1]) for i in range(k - 1)), default=0.0)
-    else:
-        raise ValueError(f"unknown bound strategy {strategy!r}")
-    return DominanceParams(lambda_max=lam_max, bound=bound)
+def choose_bound(instance: AuctionInstance) -> DominanceParams:
+    """The scenario rectangle for dominance checks: lambda_max and, as B, the
+    smaller of const_lambda_bound and UB(1) of decouple_bounds."""
+    return _min_params(instance, decouple_bounds(instance))
 
 
 def _min_params(instance: AuctionInstance, ub: np.ndarray) -> DominanceParams:
-    """choose_bound's "min" rectangle, given ``ub = decouple_bounds(instance)``."""
+    """choose_bound's rectangle, given ``ub = decouple_bounds(instance)``."""
     return DominanceParams(instance.ladder.max_factor, min(const_lambda_bound(instance), float(ub[0])))
 
 
@@ -227,21 +204,15 @@ def _min_params(instance: AuctionInstance, ub: np.ndarray) -> DominanceParams:
 def _dominance_block(
     wv_a: np.ndarray, c_a: np.ndarray, wv_b: np.ndarray, c_b: np.ndarray, params: DominanceParams
 ) -> np.ndarray:
-    """Boolean block dom[i, j]: ad a_i dominates ad b_j.
+    """Boolean block dom[i, j]: ad a_i dominates ad b_j (a positive margin at all four corners).
 
-    The one home of the four-corner margin expression; every counter
-    builds on it, so their counts agree bit for bit.
+    The margin coefficients are built once per block, not once per corner.
     """
-    wvi = wv_a[:, None]
-    ci = c_a[:, None]
-    x_coef = ci * wv_b[None, :] - wvi * c_b[None, :]
-    y_coef = ci - c_b[None, :]
-    const = wvi - wv_b[None, :]
+    terms = _margin_terms(wv_a[:, None], c_a[:, None], wv_b, c_b)
     corners = iter(params.corners)
-    x, y = next(corners)
-    ok = (x * x_coef + y * y_coef + const) > 0.0
+    ok = _margin(terms, *next(corners)) > 0.0
     for x, y in corners:
-        ok &= (x * x_coef + y * y_coef + const) > 0.0
+        ok &= _margin(terms, x, y) > 0.0
     return ok
 
 
@@ -315,8 +286,8 @@ def _corner_ranks(wv: np.ndarray, cont: np.ndarray, x: float, y: float) -> np.nd
 
     At a fixed corner the pairwise margin orders ads by the single key
     (1 - c*x) / (wv + c*y), smaller first.  The ranking is cross-checked
-    against the pairwise margin of adjacent ads so that any tie or
-    inconsistency triggers the naive fallback.
+    against the pairwise margin of adjacent ads, so that any tie or
+    inconsistency raises DominanceTieError.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (1.0 - cont * x) / (wv + cont * y)
@@ -327,27 +298,18 @@ def _corner_ranks(wv: np.ndarray, cont: np.ndarray, x: float, y: float) -> np.nd
     if np.any(gs[1:] == gs[:-1]):
         raise DominanceTieError("tied corner keys")
     i, j = order[:-1], order[1:]
-    margin = x * (cont[i] * wv[j] - wv[i] * cont[j]) + y * (cont[i] - cont[j]) + (wv[i] - wv[j])
-    if np.any(margin <= 0.0):
+    if np.any(_margin(_margin_terms(wv[i], cont[i], wv[j], cont[j]), x, y) <= 0.0):
         raise DominanceTieError("corner order not strict")
     ranks = np.empty(len(g), dtype=np.int64)
     ranks[order] = np.arange(1, len(g) + 1)
     return ranks
 
 
-def rank_vectors(instance: AuctionInstance, params: DominanceParams) -> dict[int, RankVector]:
-    """Corner rank vectors per ad id.  Raises DominanceTieError on any tie."""
+def rank_vectors(instance: AuctionInstance, params: DominanceParams) -> np.ndarray:
+    """Corner ranks as an (n, 4) int array: a row per ad in ad order, a column per corner in
+    ``params.corners`` order.  Raises DominanceTieError on any tie."""
     wv, cont = instance.arrays()
-    b = params.bound
-    lm = params.lambda_max
-    r00 = _corner_ranks(wv, cont, 0.0, 0.0)
-    rl0 = _corner_ranks(wv, cont, lm, 0.0)
-    r0b = _corner_ranks(wv, cont, 0.0, b)
-    rlb = _corner_ranks(wv, cont, lm, b)
-    return {
-        aid: RankVector(at_zero=(int(r00[i]), int(rl0[i])), at_bound=(int(r0b[i]), int(rlb[i])))
-        for i, aid in enumerate(instance.ids)
-    }
+    return np.stack([_corner_ranks(wv, cont, x, y) for x, y in params.corners], axis=1)
 
 
 class _PlaneCounter:
@@ -409,17 +371,18 @@ class _PlaneCounter:
 
 
 def _fast_counts(instance: AuctionInstance, params: DominanceParams) -> np.ndarray:
-    """Rank-based dominator counting; raises DominanceTieError on ties.
+    """Rank-based dominator counting (in ad order) in O(N log^2 N); raises DominanceTieError on ties.
 
-    Scans ads by decreasing continuation.  Dominators with larger
-    continuation have already been processed and are found through the
-    y=0 corner ranks; the rest are still present in the y=B structure.
+    Scans ads by decreasing continuation.  A dominator with strictly larger
+    continuation has a margin that grows with y, so the two y=0 corner
+    ranks decide it; it has already been processed.  The others are still
+    present in the structure of the two y=B corner ranks.
     """
     ranks = rank_vectors(instance, params)
     n = instance.num_ads
     ids = instance.ids
-    at_zero = [ranks[aid].at_zero for aid in ids]
-    at_bound = [ranks[aid].at_bound for aid in ids]
+    at_zero = ranks[:, :2].tolist()
+    at_bound = ranks[:, 2:].tolist()
     cont = instance.continuation.tolist()
 
     low = _PlaneCounter(at_bound, active=True)
@@ -435,24 +398,8 @@ def _fast_counts(instance: AuctionInstance, params: DominanceParams) -> np.ndarr
     return counts
 
 
-def count_dominators_fast(instance: AuctionInstance, params: DominanceParams) -> dict[int, int]:
-    """Same counts as count_dominators_naive in O(N log^2 N).
-
-    Requires the four corner orders to be strict; falls back to the naive
-    count transparently when a tie is detected.
-    """
-    try:
-        counts = _fast_counts(instance, params)
-    except DominanceTieError:
-        return count_dominators_naive(instance, params)
-    return dict(zip(instance.ids, counts.tolist()))
-
-
 def prune_instance(
-    instance: AuctionInstance,
-    strategy: str = "min",
-    use_fast: bool = False,
-    discard_threshold: int | None = None,
+    instance: AuctionInstance, use_fast: bool = False, discard_threshold: int | None = None
 ) -> tuple[AuctionInstance, DominanceReport]:
     """Iteratively drops ads that can never be part of an optimal allocation.
 
@@ -474,7 +421,7 @@ def prune_instance(
     iterations = 0
     while True:
         iterations += 1
-        params = choose_bound(current, strategy)
+        params = choose_bound(current)
         counts = _skyband_counts(current, params, threshold)
         ids = current.ids
         dom_counts.update(zip(ids, counts.tolist()))

@@ -7,6 +7,7 @@ import pytest
 
 from cascade_auctions import (
     CheckResult,
+    choose_bound,
     colored_ads,
     load_instance,
     multi_order_approx,
@@ -67,7 +68,9 @@ def test_prune_reports_partition_of_ids(tmp_path, capsys):
     assert sorted(payload["surviving"] + payload["discarded"]) == list(inst.ids)
     assert payload["iterations"] >= 1
     assert payload["instance"]["K"] == 2
-    assert payload["bound"] >= 0.0
+    # the library's rectangle, bit for bit
+    params = choose_bound(inst)
+    assert (payload["lambda_max"], payload["bound"]) == (params.lambda_max, params.bound)
 
 
 def test_prune_writes_instance_file(tmp_path, capsys):
@@ -75,7 +78,6 @@ def test_prune_writes_instance_file(tmp_path, capsys):
     out_path = tmp_path / "pruned.json"
     code, out, err = run_cli(
         capsys, "prune", "--input", str(path),
-        "--strategy", "aggressive",
         "--out-instance", str(out_path),
     )
     assert code == 0

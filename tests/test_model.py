@@ -185,6 +185,44 @@ def test_instance_with_values():
     assert inst.with_values({1: np.float64(3.0), 2: np.int64(4)}).value.tolist() == [3.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        (([1, 2], ["1.5", True], [0.5, 0.5], [0.5, 0.5]), "^ad 1: value "),
+        (([1, 2], [1.0, True], [0.5, 0.5], [0.5, 0.5]), "^ad 2: value "),
+        (([1, 2], [1.0, 2.0], [0.5, "0.5"], [0.5, 0.5]), "^ad 2: quality "),
+        (([1, 2], [1.0, 2.0], [0.5, 0.5], [np.True_, 0.5]), "^ad 1: continuation "),
+        (([1, 2], [1.0, 10**400], [0.5, 0.5], [0.5, 0.5]), "^ad 2: value "),
+        (([1, 2], [1.0, 2.0], [0.5, 0.5], [0.5, None]), "^ad 2: continuation "),
+        (([1, 2], np.array([True, False]), [0.5, 0.5], [0.5, 0.5]), "^ad 1: value "),
+        (([1, 2], np.array(["1.0", "2.0"]), [0.5, 0.5], [0.5, 0.5]), "^ad 1: value "),
+        (([5, True], [1.0, 2.0], [0.5, 0.5], [0.5, 0.5]), "^ad True: id "),
+        (([np.True_, 2], [1.0, 2.0], [0.5, 0.5], [0.5, 0.5]), "^ad np.True_: id "),
+    ],
+)
+def test_from_columns_rejects_what_ad_rejects(columns, message):
+    # numpy would convert a str or a bool silently; the entry is an error
+    # naming its ad, as in Ad, with_values and the loader
+    ladder = SlotLadder.from_factors([0.5], 2)
+    with pytest.raises(InstanceFormatError, match=message):
+        AuctionInstance.from_columns(*columns, ladder)
+
+
+def test_from_columns_accepts_numpy_numbers():
+    ladder = SlotLadder.from_factors([0.5], 2)
+    inst = AuctionInstance.from_columns(
+        [1, np.int64(2)], [np.float64(1.5), 2], np.array([0.5, 0.25], dtype=np.float32),
+        [0.5, np.float32(0.25)], ladder,
+    )
+    assert inst.ids == (1, 2)
+    assert inst.value.tolist() == [1.5, 2.0]
+    assert inst.continuation.tolist() == [0.5, 0.25]
+    arrays = AuctionInstance.from_columns(
+        np.arange(1, 3), np.array([1.5, 2.0]), np.array([1, 0]), np.array([0.5, 0.25]), ladder
+    )
+    assert arrays.ads == (Ad(1, 1.5, 1.0, 0.5), Ad(2, 2.0, 0.0, 0.25))
+
+
 def test_allocation_rejects_repeats():
     with pytest.raises(InvalidAllocationError):
         Allocation((1, 1))
