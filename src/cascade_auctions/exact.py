@@ -12,10 +12,15 @@ small instances a single pass in id order yields that directly; larger ones
 run a value-finding pass with a heuristic child order first and then a
 second lexicographic pass that stops at the first allocation matching the
 optimum.
+
+The bounds, masks and orders are set up once per instance
+(``_ExactSearch``); the same set-up also solves the instance without any
+one of its ads, which is how exact VCG pricing reruns every winner.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -73,6 +78,140 @@ def _dominator_masks(dom: np.ndarray) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
 
 
+class _ExactSearch:
+    """The set-up of an exact search on one instance, and the search itself.
+
+    Built once: the (weighted value, continuation) columns, prominences,
+    the per-slot bounds ``ub = decouple_bounds``, the dominator masks on
+    the rectangle of ``_min_params``, the id order and, on first use, the
+    value-density order.  ``solve()`` searches the instance;
+    ``solve(drop=j)`` searches it without ad j by starting with j's bit
+    already set in ``used``, so j is never placed and never blocks the ads
+    it dominates.  Exact VCG pricing sets up one search and runs every
+    winner's leave-one-out solve on it.
+
+    Why ``solve(drop=j)`` gives the value a search set up on the instance
+    without j gives: removing an ad keeps the ladder, hence lambda_max,
+    and can only lower B (both the constant-lambda optimum and UB(1) are
+    maxima over fewer ads).  A margin positive at the corners of the larger
+    rectangle is positive at those of the smaller one (at a fixed
+    lambda the margin is monotone in B, in floats too), so the masks here
+    are a subset of the smaller instance's: no leaf that search reaches is
+    excluded here.  The bounds here are no smaller (the top values and
+    continuations of fewer ads are no larger), so they stay admissible and
+    only prune less.  The search runs in id order and keeps a leaf only on
+    a strict ``>``, so it returns the first maximal leaf; its value is the
+    optimum, which the dominance constraint never removes, and
+    ``social_welfare`` scores it on this instance to the same float as on
+    the smaller one.  Only ``nodes_explored`` may differ, so a
+    node budget can run out at a different count.  Dropping an ad needs
+    K < n: with fewer than K ads left no leaf is reached and the result
+    is incomplete.
+    """
+
+    def __init__(self, instance: AuctionInstance, budget: int | None = None, hard_cap: int = 20) -> None:
+        if budget is None and instance.num_ads > hard_cap:
+            raise InstanceTooLargeError(
+                f"{instance.num_ads} ads without a node budget; pass budget= to override"
+            )
+        self.instance = instance
+        self.budget = budget
+        _, _, self.cont, self.wv = instance._lists  # floats: the search reads them one at a time
+        self.prom = instance.ladder.prominences
+        ub = decouple_bounds(instance)
+        self.ub = ub.tolist()
+        self.dominator_mask = _dominator_masks(_dominance_matrix(instance, _min_params(instance, ub)))
+        self.by_id = sorted(range(instance.num_ads), key=instance.ids.__getitem__)
+
+    @cached_property
+    def by_density(self) -> list[int]:
+        return _density_order(self.instance, 1.0).tolist()
+
+    def solve(self, drop: int | None = None, warm_start: Sequence[int] | None = None) -> OracleResult:
+        """Optimal allocation of the instance, without ad ``drop`` if given (see ``solve_exact``)."""
+        instance, budget = self.instance, self.budget
+        wv, cont, prom, ub, dominator_mask = self.wv, self.cont, self.prom, self.ub, self.dominator_mask
+        n = instance.num_ads
+        k = instance.num_slots
+        used0 = 0
+        if drop is not None:
+            (j,) = instance.indices((drop,))
+            used0 = 1 << j
+            n -= 1
+
+        best_value = float("-inf")
+        best_seq: list[int] | None = None
+        if warm_start is not None:
+            # social_welfare rejects an unknown id, a repeat or too many ads
+            best_value = social_welfare(instance, Allocation(tuple(warm_start)))
+            best_seq = instance.indices(warm_start)
+
+        nodes = 0
+        exhausted = False
+
+        def search(order: list[int], target: float | None) -> list[int] | None:
+            """DFS over dominance-consistent sequences.
+
+            Without a ``target`` this is the value search: the bound prunes on
+            <= incumbent.  With one, the bound prunes on < target and the
+            first full allocation hitting it exactly is returned
+            (lexicographic search).
+            """
+            nonlocal best_value, best_seq, nodes, exhausted
+            path: list[int] = []
+
+            def rec(depth: int, used: int, value: float, cprod: float) -> list[int] | None:
+                nonlocal best_value, best_seq, nodes, exhausted
+                if depth == k:
+                    if target is None:
+                        if value > best_value:
+                            best_value = value
+                            best_seq = path.copy()
+                        return None
+                    return path.copy() if value == target else None
+                slot_weight = prom[depth] * cprod
+                bound = value + slot_weight * ub[depth]
+                if target is None:
+                    if bound <= best_value:
+                        return None
+                elif bound < target:
+                    return None
+                for i in order:
+                    bit = 1 << i
+                    if used & bit or (dominator_mask[i] & ~used):
+                        continue
+                    if budget is not None and nodes >= budget:
+                        exhausted = True
+                        return None
+                    nodes += 1
+                    path.append(i)
+                    hit = rec(depth + 1, used | bit, value + wv[i] * slot_weight, cprod * cont[i])
+                    path.pop()
+                    if hit is not None:
+                        return hit
+                    if exhausted:
+                        return None
+                return None
+
+            return rec(0, used0, 0.0, 1.0)
+
+        if n <= _SINGLE_PASS_CAP and warm_start is None:
+            search(self.by_id, target=None)
+        else:
+            search(self.by_density, target=None)
+            if not exhausted and best_seq is not None:
+                hit = search(self.by_id, target=best_value)
+                if hit is not None:
+                    best_seq = hit
+
+        if best_seq is None:
+            return OracleResult(Allocation(()), 0.0, nodes, complete=False)
+        ids = instance.ids
+        alloc = Allocation(tuple(ids[i] for i in best_seq))
+        value = social_welfare(instance, alloc)
+        return OracleResult(alloc, value, nodes, complete=not exhausted)
+
+
 def solve_exact(
     instance: AuctionInstance,
     budget: int | None = None,
@@ -87,89 +226,4 @@ def solve_exact(
     recomputed here so the bound arithmetic stays consistent, and an
     unknown id raises InvalidAllocationError.
     """
-    n = instance.num_ads
-    k = instance.num_slots
-    if budget is None and n > hard_cap:
-        raise InstanceTooLargeError(
-            f"{n} ads without a node budget; pass budget= to override"
-        )
-
-    wv, cont = instance.arrays()
-    prom = instance.ladder.prominences
-    ub = decouple_bounds(instance)
-    ids = instance.ids
-
-    dominator_mask = _dominator_masks(_dominance_matrix(instance, _min_params(instance, ub)))
-
-    by_id = sorted(range(n), key=lambda i: ids[i])
-
-    best_value = float("-inf")
-    best_seq: list[int] | None = None
-    if warm_start is not None:
-        # social_welfare rejects an unknown id, a repeat or too many ads
-        best_value = social_welfare(instance, Allocation(tuple(warm_start)))
-        best_seq = instance.indices(warm_start)
-
-    nodes = 0
-    exhausted = False
-
-    def search(order: list[int], target: float | None) -> list[int] | None:
-        """DFS over dominance-consistent sequences.
-
-        Without a ``target`` this is the value search: the bound prunes on
-        <= incumbent.  With one, the bound prunes on < target and the
-        first full allocation hitting it exactly is returned
-        (lexicographic search).
-        """
-        nonlocal best_value, best_seq, nodes, exhausted
-        path: list[int] = []
-
-        def rec(depth: int, used: int, value: float, cprod: float) -> list[int] | None:
-            nonlocal best_value, best_seq, nodes, exhausted
-            if depth == k:
-                if target is None:
-                    if value > best_value:
-                        best_value = value
-                        best_seq = path.copy()
-                    return None
-                return path.copy() if value == target else None
-            slot_weight = prom[depth] * cprod
-            bound = value + slot_weight * ub[depth]
-            if target is None:
-                if bound <= best_value:
-                    return None
-            elif bound < target:
-                return None
-            for i in order:
-                bit = 1 << i
-                if used & bit or (dominator_mask[i] & ~used):
-                    continue
-                if budget is not None and nodes >= budget:
-                    exhausted = True
-                    return None
-                nodes += 1
-                path.append(i)
-                hit = rec(depth + 1, used | bit, value + wv[i] * slot_weight, cprod * cont[i])
-                path.pop()
-                if hit is not None:
-                    return hit
-                if exhausted:
-                    return None
-            return None
-
-        return rec(0, 0, 0.0, 1.0)
-
-    if n <= _SINGLE_PASS_CAP and warm_start is None:
-        search(by_id, target=None)
-    else:
-        search(_density_order(instance, 1.0).tolist(), target=None)
-        if not exhausted and best_seq is not None:
-            hit = search(by_id, target=best_value)
-            if hit is not None:
-                best_seq = hit
-
-    if best_seq is None:
-        return OracleResult(Allocation(()), 0.0, nodes, complete=False)
-    alloc = Allocation(tuple(ids[i] for i in best_seq))
-    value = social_welfare(instance, alloc)
-    return OracleResult(alloc, value, nodes, complete=not exhausted)
+    return _ExactSearch(instance, budget, hard_cap).solve(warm_start=warm_start)

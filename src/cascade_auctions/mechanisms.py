@@ -21,15 +21,19 @@ true model.
   is an error, not a payment.  With the exact allocator only the winners
   are rerun: a loser pays exactly 0.0.
 
-The leave-one-out reruns of one outcome, and the outcomes an
-equilibrium check builds for each deviation, all use one seed on at
-most two ad counts.  The approximate allocators memoize their colorings
-and orders on (sizes, seed), so those reruns draw them once, and they
-price every ad from one batched, value-only pass: every leave-one-out
-instance reuses the same (n-1)-ad draws, read through indices that skip
-the dropped ad, so each value is the float a separate rerun would give.
-That sharing rests on the same fact as truthfulness: the draws never
-depend on a bid.
+Every allocator prices an outcome from work it sets up once.  The exact
+allocator builds one search (exact's bounds, dominance masks and orders)
+on the leave-one-out context; each winner's rerun runs on it with the
+winner masked out, and when no slot is cut the context is the reported
+instance, so the reported solve shares it too.  No instance is built per
+rerun.  The approximate allocators memoize their colorings and orders on
+(sizes, seed), so the leave-one-out reruns of one outcome, and the
+outcomes an equilibrium check builds for each deviation, draw them once;
+they price every ad from one batched, value-only pass: every
+leave-one-out instance reuses the same (n-1)-ad draws, read through
+indices that skip the dropped ad, so each value is the float a separate
+rerun would give.  That sharing rests on the same fact as truthfulness:
+the draws never depend on a bid.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import coloring, sorted_dp
 from .coloring import colored_ads
-from .exact import solve_exact
+from .exact import _ExactSearch
 from .model import (
     Allocation,
     AuctionError,
@@ -233,63 +237,77 @@ def vcg_apdc_outcome(
     With the exact allocator an ad the optimum leaves out pays exactly
     0.0 and is not rerun: without it the optimal allocation is still
     feasible and still optimal, so its Clarke payment is zero.  The
-    approximate allocators price every ad, since their range depends on
-    the ad set, but compute all the leave-one-out values in one batched,
-    value-only pass (``_leave_one_out_values`` of coloring and
-    sorted_dp).  Without ad j the rerun would draw the same (n-1)-ad
-    colorings or orders, since they depend only on (sizes, seed); the
-    batch reads them through indices that skip j, so each column sees the
-    same ads, colors and factors in the same order, and the kernels,
-    whose columns are independent and whose max is exact, give each
-    value bit for bit.  No allocation is built for a rerun.
+    winners' reruns share one search set up on the leave-one-out context
+    (all n ads on min(K, n-1) slots): each masks its winner out, and gives
+    the value a solve of the instance without that winner would give
+    (exact's ``_ExactSearch`` says why).  When K < n the context is the
+    reported instance, so one set-up serves the whole outcome; when K = n
+    the reported solve has its own.  The approximate allocators price
+    every ad, since their range depends on the ad set, but compute all
+    the leave-one-out values in one batched, value-only pass
+    (``_leave_one_out_values`` of coloring and sorted_dp).  Without ad j
+    the rerun would draw the same (n-1)-ad colorings or orders, since
+    they depend only on (sizes, seed); the batch reads them through
+    indices that skip j, so each column sees the same ads, colors and
+    factors in the same order, and the kernels, whose columns are
+    independent and whose max is exact, give each value bit for bit.  No
+    allocation is built for a rerun.
 
     Raises:
         IncompleteSolveError: an exact solve, of the reported instance or
             of a winner's leave-one-out instance, exhausted ``budget``;
-            its best allocation so far would not give VCG payments.
+            its best allocation so far would not give VCG payments.  A
+            rerun on the shared search may explore more nodes than a
+            separate solve, so it can run out at a budget that one would
+            meet.
     """
     if allocator not in _APDC_ALLOCATORS:
         raise ValueError(f"allocator must be one of {_APDC_ALLOCATORS}, got {allocator!r}")
     profile = _check_bids(instance, bids)
     reported = instance.with_values(profile)
 
-    def run(inst: AuctionInstance) -> tuple[Allocation, float]:
-        if allocator == "exact":
-            res = solve_exact(inst, budget=budget)
-            if not res.complete:
-                raise IncompleteSolveError(inst.ids, budget)
-            return res.best_alloc, res.best_value
-        if allocator == "colored":
-            res = colored_ads(inst, iterations=iterations, seed=seed)
-            return res.alloc, res.value
-        res = multi_order_approx(
-            inst, order_count=order_count, seed=seed, include_natural=False
-        )
-        return res.alloc, res.value
-
-    alloc, _ = run(reported)
-    clicks = _ctrs(reported, alloc)
-    total_reported = sum(profile[aid] * clicks[aid] for aid in alloc.slots)
-
     if allocator == "exact":
-        # n = 1 leaves no ad to rerun on, and no ladder to run it with
-        context = _leave_one_out_context(reported) if reported.num_ads > 1 else None
-        best_without = {
-            aid: 0.0 if context is None else run(context.without(aid))[1]
-            for aid in reported.ids if aid in clicks
-        }
+        alloc, best_without = _exact_pricing(reported, budget)
     else:
         if allocator == "colored":
+            res = colored_ads(reported, iterations=iterations, seed=seed)
             values = coloring._leave_one_out_values(reported, iterations=iterations, seed=seed)
         else:
+            res = multi_order_approx(reported, order_count=order_count, seed=seed, include_natural=False)
             values = sorted_dp._leave_one_out_values(reported, order_count=order_count, seed=seed)
+        alloc = res.alloc
         best_without = dict(zip(reported.ids, values.tolist()))
+    clicks = _ctrs(reported, alloc)
+    total_reported = sum(profile[aid] * clicks[aid] for aid in alloc.slots)
 
     payments = dict.fromkeys(instance.ids, 0.0)
     for aid, without in best_without.items():
         own = profile[aid] * clicks[aid] if aid in clicks else 0.0
         payments[aid] = without - (total_reported - own)
     return _settle(instance, "vcg-apdc", alloc, payments, allocator=allocator)
+
+
+def _exact_pricing(reported: AuctionInstance, budget: int | None) -> tuple[Allocation, dict[int, float]]:
+    """The exact optimum of ``reported`` and, per winner, the optimum without it.
+
+    Every winner's rerun runs on one search set up on the leave-one-out
+    context; when no slot is cut that context is ``reported`` itself, so
+    the reported solve shares the set-up too.
+    """
+    context = _leave_one_out_context(reported) if reported.num_ads > 1 else reported
+    shared = _ExactSearch(context, budget)
+    res = (shared if context is reported else _ExactSearch(reported, budget)).solve()
+    if not res.complete:
+        raise IncompleteSolveError(reported.ids, budget)
+    best_without = {}
+    # n = 1 leaves no ad to rerun on: the one ad pays 0.0
+    for aid in reported.ids if reported.num_ads > 1 else ():
+        if aid in res.best_alloc.slots:
+            rerun = shared.solve(drop=aid)
+            if not rerun.complete:
+                raise IncompleteSolveError([a for a in context.ids if a != aid], budget)
+            best_without[aid] = rerun.best_value
+    return res.best_alloc, best_without
 
 
 def is_nash(

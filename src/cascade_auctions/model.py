@@ -66,6 +66,16 @@ def _check_field(x: Any, where: str, hi: float = 1.0) -> None:
     raise InstanceFormatError(f"{where} must be {rule}, got {_shown(x)}")
 
 
+def _is_id(x: Any) -> bool:
+    """The id rule: an integer within 64 bits; a bool is not an id, as in the loader."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -(1 << 63) <= x < 1 << 63
+
+
+def _check_id(x: Any) -> None:
+    if not _is_id(x):
+        raise InstanceFormatError(f"ad {_shown(x)}: id must be an integer within 64 bits")
+
+
 @dataclass(frozen=True)
 class Ad:
     """One ad: an integer id, unique within an instance; its private value per click (>= 0); its
@@ -78,6 +88,7 @@ class Ad:
     continuation: float
 
     def __post_init__(self) -> None:
+        _check_id(self.id)
         _check_field(self.value, f"ad {self.id}: value", math.inf)
         _check_field(self.quality, f"ad {self.id}: quality")
         _check_field(self.continuation, f"ad {self.id}: continuation")
@@ -146,20 +157,22 @@ def _check_table(id_array: np.ndarray, table: np.ndarray) -> None:
 def _columns(ids: Any, value: Any, quality: Any, continuation: Any) -> tuple[np.ndarray, np.ndarray]:
     """A new int64 id array and float table (rows value, quality, continuation and wv), checked; an
     id that is not an integer within 64 bits, or an entry that ``Ad`` rejects (a str or a bool, say),
-    is an error naming its ad."""
+    is an error naming its ad; columns of unequal lengths are an error naming the lengths."""
+    columns = value, quality, continuation
+    lengths = [len(c) for c in (ids, *columns)]
+    if len(set(lengths)) > 1:
+        raise InstanceFormatError(f"ads: the id, value, quality and continuation columns have lengths {lengths}")
     id_array = np.array(ids)  # a Python int outside 64 bits makes an object array
     if id_array.dtype.kind != "i" or not isinstance(ids, np.ndarray) and not set(map(type, ids)) <= {int}:
-        for a in ids:  # a bool is not an id, as in the loader
-            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not -(1 << 63) <= a < 1 << 63:
-                raise InstanceFormatError(f"ad {_shown(a)}: id must be an integer within 64 bits")
+        for a in ids:
+            _check_id(a)
     id_array = id_array.astype(np.int64)
-    columns = value, quality, continuation
     table = np.empty((4, len(ids)))
     try:  # numpy would read a str or a bool as a number: only numeric arrays and float or int lists go in unchecked
         if not all(c.dtype.kind in "fiu" if isinstance(c, np.ndarray) else set(map(type, c)) <= {float, int}
                    for c in columns):
             raise TypeError
-        table[:3] = columns  # a column of another length does not fit
+        table[:3] = columns
     except (TypeError, OverflowError):
         for aid, row in zip(id_array.tolist(), zip(*columns)):
             Ad(aid, *row)  # raises Ad's error for the first entry it rejects
@@ -386,7 +399,7 @@ def _check_entry(i: int, entry: Any) -> None:
         aid, *fields = (entry[key] for key in ("id", "v", "q", "c"))
     except KeyError as exc:
         raise InstanceFormatError(f"ads[{i}].{exc.args[0]}: missing required field") from None
-    if not isinstance(aid, int) or isinstance(aid, bool) or not -(1 << 63) <= aid < 1 << 63:
+    if not isinstance(aid, int) or not _is_id(aid):
         raise InstanceFormatError(f"ads[{i}].id: must be an integer within 64 bits, got {_shown(aid)}")
     fields = [_number(x, f"ads[{i}].{key}") for x, key in zip(fields, "vqc")]
     for x, name, hi in zip(fields, ("value", "quality", "continuation"), (math.inf, 1.0, 1.0)):

@@ -11,17 +11,20 @@ from cascade_auctions import (
     Ad,
     AuctionInstance,
     IncompleteSolveError,
+    InstanceTooLargeError,
     NashCheck,
     SlotLadder,
     gsp_outcome,
     is_nash,
     social_welfare,
+    solve_exact,
     truthful_profile,
     vcg_apdc_outcome,
     vcg_pdc_outcome,
 )
-from cascade_auctions import coloring, sorted_dp
+from cascade_auctions import coloring, exact, sorted_dp
 from cascade_auctions.coloring import colored_ads
+from cascade_auctions.model import _ctrs, _leave_one_out_context
 from cascade_auctions.harness import DEFAULT_SLOT_FACTORS, GeneratorConfig, generate_instance
 from cascade_auctions.sorted_dp import multi_order_approx
 from conftest import two_ad_instance
@@ -392,6 +395,99 @@ def test_vcg_apdc_incomplete_exact_solve_is_an_error():
     out = vcg_apdc_outcome(inst, bids, budget=100_000)
     assert len(out.alloc.slots) == inst.num_slots
     assert min(out.utilities.values()) >= -1e-9
+
+
+def _reference_exact_outcome(instance, bids, budget=None):
+    """Exact VCG-APDC with one full ``solve_exact`` per solve: the reported
+    instance, then each winner's leave-one-out instance built on its own."""
+    reported = instance.with_values(bids)
+    alloc = solve_exact(reported, budget=budget).best_alloc
+    clicks = _ctrs(reported, alloc)
+    total = sum(bids[aid] * clicks[aid] for aid in alloc.slots)
+    payments = dict.fromkeys(instance.ids, 0.0)
+    for aid in reported.ids:
+        if aid in clicks:
+            if reported.num_ads == 1:
+                without = 0.0
+            else:
+                res = solve_exact(_leave_one_out_context(reported).without(aid), budget=budget)
+                assert res.complete
+                without = res.best_value
+            payments[aid] = without - (total - bids[aid] * clicks[aid])
+    true_clicks = _ctrs(instance, alloc)
+    utilities = {ad.id: ad.value * true_clicks.get(ad.id, 0.0) - payments[ad.id] for ad in instance.ads}
+    return alloc, payments, utilities
+
+
+def _assert_exact_matches_reference(instance, bids, budget=None):
+    out = vcg_apdc_outcome(instance, bids, budget=budget)
+    alloc, payments, utilities = _reference_exact_outcome(instance, bids, budget)
+    assert repr(out.alloc) == repr(alloc)
+    assert repr(out.payments) == repr(payments)
+    assert repr(out.utilities) == repr(utilities)
+
+
+def test_vcg_apdc_exact_matches_per_winner_reruns_on_generated_instances():
+    # every K from 1 to n, K = n included (each rerun then loses a slot).
+    # Up to 12 ads the bids include zeros; above 14 ads the solves take two
+    # passes, and continuations of at most 0.5 keep those searches short
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            if n <= 12:
+                inst = _loo_reported(n, k, trial=n * 21 + k)
+            else:
+                config = GeneratorConfig(num_ads=n, num_slots=k, seed=707, slot_factors=(0.7,) * 20, continuation_high=0.5)
+                inst = generate_instance(config, n * 21 + k)
+            _assert_exact_matches_reference(inst, truthful_profile(inst))
+
+
+@pytest.mark.parametrize("fields,factors", [
+    # a zero factor mid-ladder: the slots below it are worth nothing
+    ([(2.0, 0.5, 0.9), (1.5, 0.8, 0.7), (1.0, 1.0, 1.0), (3.0, 0.2, 0.5), (0.5, 0.9, 0.2)], (0.8, 0.0, 0.6, 0.5)),
+    ([(2.0, 0.5, 0.9), (1.5, 0.8, 0.7), (1.0, 1.0, 1.0), (3.0, 0.2, 0.5)], (0.0, 0.9)),
+    # zero continuations: nothing below such an ad is seen
+    ([(2.0, 0.5, 0.0), (1.5, 0.8, 0.0), (1.0, 1.0, 0.3), (3.0, 0.2, 0.0), (0.7, 0.6, 1.0)], (0.9, 0.8, 0.7)),
+    ([(1.0, 1.0, 0.0)] * 3 + [(1.0, 1.0, 1.0)] * 2, (1.0, 1.0)),
+    # identical ads: the tie-break toward the smallest ids decides
+    ([(1.0, 0.5, 0.5)] * 6, (0.7, 0.6, 0.5)),
+    ([(1.0, 0.5, 0.5)] * 3 + [(2.0, 0.25, 0.5)] * 3 + [(0.5, 1.0, 0.5)] * 2, (1.0, 1.0, 1.0)),
+    ([(1.0, 1.0, 1.0)] * 4, (1.0, 1.0, 1.0, 1.0)),
+    ([(0.0, 0.5, 0.5)] * 5, (0.5, 0.5)),
+])
+def test_vcg_apdc_exact_matches_per_winner_reruns_on_hand_ladders(fields, factors):
+    inst = AuctionInstance([Ad(i + 1, *f) for i, f in enumerate(fields)], SlotLadder(factors))
+    for scale in ((1.0,) * len(fields), LOO_BID_SCALE * 2):
+        bids = {ad.id: ad.value * s for ad, s in zip(inst.ads, scale)}
+        _assert_exact_matches_reference(inst, bids)
+
+
+def test_vcg_apdc_exact_matches_per_winner_reruns_under_a_budget():
+    inst = generate_instance(GeneratorConfig(num_ads=30, num_slots=4, seed=1))
+    _assert_exact_matches_reference(inst, truthful_profile(inst), budget=100_000)
+
+
+def test_vcg_apdc_exact_refuses_21_ads_without_a_budget():
+    inst = generate_instance(GeneratorConfig(num_ads=21, num_slots=3, seed=1))
+    with pytest.raises(InstanceTooLargeError, match="21 ads"):
+        vcg_apdc_outcome(inst, truthful_profile(inst))
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (5, 1), (12, 4)])
+def test_vcg_apdc_exact_sets_up_one_search_per_outcome(monkeypatch, n, k):
+    # with K < n the reported solve and every winner's rerun share one set-up
+    calls = {"decouple_bounds": 0, "_dominance_matrix": 0}
+    for name in calls:
+        real = getattr(exact, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=3))
+    out = vcg_apdc_outcome(inst, truthful_profile(inst))
+    assert len(out.alloc.slots) == k
+    assert calls == {"decouple_bounds": 1, "_dominance_matrix": 1}
 
 
 def value_grid(ad: Ad, points: int = 11) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -490,9 +491,32 @@ def test_ids_at_the_int64_bounds_round_trip():
 
 @pytest.mark.parametrize("bad", [2**63, 2**70, -(2**63) - 1, 1.5, "7"])
 def test_instance_rejects_an_id_outside_int64(bad):
-    ads = (Ad(1, 1.0, 0.5, 0.5), Ad(bad, 1.0, 0.5, 0.5))
+    # the Ad itself is already rejected
     with pytest.raises(InstanceFormatError, match=f"^ad {bad!r}: id must be an integer within 64 bits"):
-        AuctionInstance(ads, SlotLadder.from_factors([], 1))
+        AuctionInstance((Ad(1, 1.0, 0.5, 0.5), Ad(bad, 1.0, 0.5, 0.5)), SlotLadder.from_factors([], 1))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, "x", 1.0, None, 2**63, -(2**63) - 1])
+def test_ad_rejects_an_id_that_is_not_an_int64(bad):
+    with pytest.raises(InstanceFormatError, match=r"^ad .*: id must be an integer within 64 bits$"):
+        Ad(bad, 1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("good", [0, -(2**63), 2**63 - 1, np.int64(7), np.uint8(3)])
+def test_ad_accepts_an_int64_id(good):
+    assert Ad(good, 1.0, 0.5, 0.5).id == good
+
+
+@pytest.mark.parametrize("columns,lengths", [
+    (([1, 2], [1.0, 2.0], [0.5], [0.5, 0.5]), "[2, 2, 1, 2]"),
+    (([1], [1.0, 2.0], [0.5, 0.5], [0.5, 0.5]), "[1, 2, 2, 2]"),
+    (([1, 2, 3], np.ones(2), np.ones(2), np.ones(2)), "[3, 2, 2, 2]"),
+])
+def test_from_columns_rejects_unequal_lengths(columns, lengths):
+    ladder = SlotLadder.from_factors([], 1)
+    with pytest.raises(InstanceFormatError, match=re.escape(f"ads: the id, value, quality and continuation columns "
+                                                             f"have lengths {lengths}")):
+        AuctionInstance.from_columns(*columns, ladder)
 
 
 def test_derived_instances_reject_unknown_ids():
