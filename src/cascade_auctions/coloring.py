@@ -162,10 +162,15 @@ def draw_colorings(
     Each row is uniform over the colorings of the ads that use every color
     at least once.  Past the coupon-collector regime (n >= 3K + 8) plain
     rejection rarely loops and is cheaper; below it the exact conditional
-    chain draws them.
+    chain draws them.  Rejection tests a row by OR-ing color c as bit c of
+    one int64, hence at most 62 colors; the colored DP, with its table of
+    2^K color subsets, never comes near that.  The first round draws every
+    row in place; later rounds redraw only the rejected ones.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
+    if num_colors > 62:
+        raise ValueError("at most 62 colors")
     if num_ads < num_colors:
         raise ValueError(
             f"cannot color {num_ads} ads onto {num_colors} colors surjectively"
@@ -174,15 +179,18 @@ def draw_colorings(
         raise ValueError("count must be nonnegative")
     k = num_colors
     if num_ads >= 3 * k + 8:
-        out = np.empty((count, num_ads), dtype=np.int64)
-        pending = np.arange(count)
-        for _ in range(100):
+        all_colors = (1 << (k + 1)) - 2  # bits 1..k
+
+        def covers(rows: np.ndarray) -> np.ndarray:
+            return np.bitwise_or.reduce(1 << rows, axis=1) == all_colors
+
+        out = rng.integers(1, k + 1, size=(count, num_ads))
+        pending = np.flatnonzero(~covers(out))
+        for _ in range(99):
             if pending.size == 0:
                 return out
             cand = rng.integers(1, k + 1, size=(pending.size, num_ads))
-            present = np.zeros((pending.size, k + 1), dtype=bool)
-            present[np.arange(pending.size)[:, None], cand] = True
-            ok = present[:, 1:].all(axis=1)
+            ok = covers(cand)
             out[pending[ok]] = cand[ok]
             pending = pending[~ok]
         # astronomically unlikely here; finish the stragglers exactly

@@ -30,9 +30,21 @@ per bidder and once per deviation it checks, always with the same seed
 and ad count, so those reruns share one matrix.  Sharing it is the same
 bid-independence that keeps the mechanism truthful: the range of
 allocations a seed can reach never depends on what anyone bids.
+
+Row t of the matrix is the stream (seed, t) of random_order, unchanged.
+Seeding default_rng((seed, t)) costs more than shuffling a few dozen
+ads: SeedSequence hashes the seed's 32-bit words and t into the four
+64-bit words that seed PCG64.  That hash is integer arithmetic on 32-bit
+words with a fixed sequence of constants, so _seed_words runs it for all
+rows at once on arrays of words, with the same wraparound, and each row's
+PCG64 is seeded from its four words and shuffled by NumPy's own
+Generator.shuffle.  The words do not depend on the ad count, so the
+matrices of one seed at two sizes (all ads and the pruned ones, or a VCG
+outcome's n and n-1 ads) share one derivation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -107,6 +119,99 @@ def random_order(instance: AuctionInstance, seed: int, index: int) -> AdOrder:
     return tuple(int(x) for x in rng.permutation(instance.id_array))
 
 
+# SeedSequence's hash constants (NumPy's numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
+
+
+def _seed_entropy(seed: int) -> tuple[int, ...]:
+    """The 32-bit words SeedSequence reads from an integer seed, low word first.
+
+    A float raises TypeError and a negative seed ValueError, as in
+    default_rng((seed, t)).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    words = [seed & _WORD]
+    while seed := seed >> 32:
+        words.append(seed & _WORD)
+    return tuple(words)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32 column: init, init * mult, init * mult^2, ... mod 2^32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of ``consts[:-1]``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of word ``y`` into word ``x``."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+@lru_cache(maxsize=1)
+def _seed_words(entropy: tuple[int, ...], count: int) -> np.ndarray:
+    """Read-only (count, 4) uint64; row t is
+    ``SeedSequence(entropy + (t,)).generate_state(4, np.uint64)``.
+
+    The rows run SeedSequence's pool mix and generate_state side by side,
+    on uint32 arrays that wrap as its uint32 words do.  The hash constant
+    advances once per hashmix call whatever the data, so a step that
+    mixes one pool word into the three others is one call on three
+    consecutive constants.  One entry suffices: callers build the
+    matrices of one seed back to back (see the module docstring).
+    """
+    size = max(len(entropy) + 1, _POOL_SIZE)
+    rows = np.zeros((size, count), dtype=np.uint32)  # word i of every row's entropy
+    rows[: len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
+    rows[len(entropy)] = np.arange(count)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * size)
+    pool = _hashmix(rows[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    c = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[c : c + _POOL_SIZE]))
+        c += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, size):
+        pool = _mix(pool, _hashmix(rows[src], consts[c : c + _POOL_SIZE + 1]))
+        c += _POOL_SIZE
+    state = _hashmix(pool[list(range(_POOL_SIZE)) * 2], _hash_consts(_INIT_B, _MULT_B, 8))
+    low, high = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
+    out = np.ascontiguousarray((low | high << 32).T)
+    out.flags.writeable = False
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 four precomputed seeding words.
+
+    PCG64 asks for generate_state(4, np.uint64) and reads the words from
+    the array's buffer, so ``words`` is one C-contiguous row of
+    _seed_words.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 # One VCG outcome alternates between the reported n-ad instance and its
 # (n-1)-ad leave-one-out instances, which all share one key; two entries
 # keep both warm across every rerun and every later deviation check.
@@ -117,12 +222,17 @@ _ORDER_CACHE_SIZE = 2
 def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
     """Read-only (order_count, n) matrix; row t indexes random_order(seed, t).
 
+    Row t is ``np.random.default_rng((seed, t)).permutation(n)``, bit for
+    bit: PCG64 is seeded with the words SeedSequence((seed, t)) would
+    give (_seed_words, the module docstring), and permutation(n) is
+    NumPy's shuffle of arange(n), run here in place on the row.
     permutation(n) applies the same shuffle as permutation(ids), so row t
     mapped through the instance's ids is random_order(instance, seed, t).
     """
     out = np.empty((order_count, n), dtype=np.int64)
-    for t in range(order_count):
-        out[t] = np.random.default_rng((seed, t)).permutation(n)
+    out[:] = np.arange(n)
+    for row, words in zip(out, _seed_words(_seed_entropy(seed), order_count)):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).shuffle(row)
     out.flags.writeable = False
     return out
 

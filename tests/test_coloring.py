@@ -23,6 +23,7 @@ from cascade_auctions import (
 )
 from cascade_auctions.coloring import (
     _backtrack,
+    _draw_colorings_chain,
     _new_color_probabilities,
     _pass_memo,
     _seeded_block,
@@ -435,6 +436,51 @@ def test_colored_ads_memo_cold_and_warm_agree():
     assert info.maxsize == 2 and info.currsize <= 2
     # the two leave-one-out instances share their key
     assert info.hits >= 2
+
+
+def presence_table_draw(num_ads, num_colors, count, rng, rejected):
+    """draw_colorings with rejection's old test of color coverage: a
+    (rows, K + 1) presence table filled by fancy indexing.  Appends the
+    number of rows each round rejects to ``rejected``."""
+    k = num_colors
+    if num_ads < 3 * k + 8:
+        return _draw_colorings_chain(num_ads, k, count, rng)
+    out = np.empty((count, num_ads), dtype=np.int64)
+    pending = np.arange(count)
+    for _ in range(100):
+        if pending.size == 0:
+            return out
+        cand = rng.integers(1, k + 1, size=(pending.size, num_ads))
+        present = np.zeros((pending.size, k + 1), dtype=bool)
+        present[np.arange(pending.size)[:, None], cand] = True
+        ok = present[:, 1:].all(axis=1)
+        rejected.append(int((~ok).sum()))
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+    out[pending] = _draw_colorings_chain(num_ads, k, pending.size, rng)
+    return out
+
+
+@pytest.mark.parametrize("k", [*range(1, 8), 62])
+def test_draw_colorings_matches_presence_table(k):
+    rejected = []
+    for n in (3 * k + 7, 3 * k + 8, 3 * k + 9):
+        for count in ((0, 1, 2048) if k < 62 else (0, 1, 8)):
+            for seed in (0, 7):
+                rng, ref_rng = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
+                rows = draw_colorings(n, k, count, rng)
+                expected = presence_table_draw(n, k, count, ref_rng, rejected)
+                assert rows.dtype == np.int64 and rows.shape == (count, n)
+                assert np.array_equal(rows, expected), (n, count, seed)
+                # both leave the generator at the same point of its stream
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if k >= 3:
+        assert sum(rejected) > 0  # some rows were redrawn
+
+
+def test_draw_colorings_needs_at_most_62_colors():
+    with pytest.raises(ValueError):
+        draw_colorings(3 * 63 + 8, 63, 1, np.random.default_rng(0))
 
 
 def test_colored_ads_memo_keeps_only_the_rows_used():

@@ -630,3 +630,48 @@ def test_no_ad_objects_on_the_hot_paths(monkeypatch):
     for allocator in ("exact", "colored", "sorted"):
         vcg_apdc_outcome(small, profile, allocator=allocator, seed=1)
         assert built == [], allocator
+
+
+def test_no_seed_sequence_per_random_order(monkeypatch):
+    from cascade_auctions import multi_order_approx, truthful_profile, vcg_apdc_outcome
+    from cascade_auctions.harness import GeneratorConfig, generate_instance
+    from cascade_auctions.sorted_dp import _random_orders, _seed_words
+
+    # NumPy builds its SeedSequence in compiled code, out of reach of a
+    # patch, so count the public entry points that build one: default_rng
+    # and PCG64 on a plain seed, and SeedSequence itself
+    seeded = []
+    real_rng, real_pcg64, real_sequence = np.random.default_rng, np.random.PCG64, np.random.SeedSequence
+
+    def default_rng(seed=None):
+        if not isinstance(seed, (np.random.BitGenerator, np.random.Generator)):
+            seeded.append(seed)
+        return real_rng(seed)
+
+    def pcg64(seed=None):
+        if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+            seeded.append(seed)
+        return real_pcg64(seed)
+
+    def seed_sequence(*args, **kwargs):
+        seeded.append(args)
+        return real_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    np.random.default_rng((1, 0))
+    np.random.PCG64(2)
+    np.random.SeedSequence(3)
+    assert len(seeded) == 3  # the counter sees each entry point
+    inst = generate_instance(GeneratorConfig(num_ads=1000, num_slots=5, seed=1))
+    small = generate_instance(GeneratorConfig(num_ads=6, num_slots=3, seed=2))
+    seeded.clear()
+    _random_orders.cache_clear()
+    _seed_words.cache_clear()
+    multi_order_approx(inst, order_count=250, seed=20261017 * 1_000_003 + 33, include_natural=False)
+    assert len(seeded) <= 1, seeded  # at most one per matrix, not one per order
+    seeded.clear()
+    # a sorted VCG outcome builds an n-ad and an (n-1)-ad matrix
+    vcg_apdc_outcome(small, truthful_profile(small), allocator="sorted", order_count=250, seed=7)
+    assert len(seeded) <= 2, len(seeded)

@@ -357,3 +357,55 @@ def test_cached_order_rows_are_random_orders():
     assert not mat.flags.writeable
     with pytest.raises(ValueError):
         mat[0, 0] = 1
+
+
+# 2**32 - 1 and 2**32 straddle the seed's first word; a desk seed is two
+# words; 2**70 + 5 is three, so the order index fills SeedSequence's pool
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 20261017 * 1_000_003 + 33, 2**70 + 5, np.int64(3)]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_random_orders_are_default_rng_permutations(seed):
+    from cascade_auctions.sorted_dp import _random_orders, _seed_words
+
+    _seed_words.cache_clear()
+    for t in (0, 1, 8, 250):
+        for n in (1, 2, 7, 35, 1000):  # one derivation of the words serves every n
+            _random_orders.cache_clear()
+            mat = _random_orders(n, t, seed)
+            expected = np.array(
+                [np.random.default_rng((seed, i)).permutation(n) for i in range(t)], dtype=np.int64
+            ).reshape(t, n)
+            assert mat.dtype == np.int64 and mat.shape == (t, n)
+            assert np.array_equal(mat, expected), (n, t)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS + [2**96 - 1, 2**96, 2**200 + 7], ids=repr)
+def test_seed_words_are_seed_sequence_states(seed):
+    # from 2**96 the seed's words and the order index overflow the pool of
+    # four words, and the extra words are mixed in one by one
+    from cascade_auctions.sorted_dp import _seed_entropy, _seed_words
+
+    _seed_words.cache_clear()
+    words = _seed_words(_seed_entropy(seed), 40)
+    assert words.shape == (40, 4) and words.dtype == np.uint64 and not words.flags.writeable
+    for t in range(40):
+        expected = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+        assert np.array_equal(words[t], expected), t
+
+
+def test_random_orders_reject_seeds_default_rng_rejects():
+    from cascade_auctions.sorted_dp import _random_orders, _seed_words
+
+    for seed, error in ((-1, ValueError), (1.5, TypeError), (np.float64(2.0), TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng((seed, 0))
+        _random_orders.cache_clear()
+        _seed_words.cache_clear()
+        with pytest.raises(error):
+            _random_orders(5, 3, seed)
+    # a float raises even while the words of the equal integer are cached
+    _random_orders.cache_clear()
+    _random_orders(5, 3, 1)
+    with pytest.raises(TypeError):
+        _random_orders(6, 3, 1.0)
