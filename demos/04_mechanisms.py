@@ -51,7 +51,8 @@ print("truthful is a grid equilibrium:", check.is_equilibrium)
 # The catalog holds 13 worked examples of equilibrium pathologies, from
 # negative truthful utility to unbounded welfare and revenue gaps. Each
 # stores an instance, a bid profile, and every claimed number; verify()
-# recomputes the lot.
+# recomputes the lot. Its equilibrium check is exact: a bid matters only
+# through its rank, so it tries every bid where a rank can change.
 for name in catalog_names():
     entry = lemma_instance(name)
     failed = [c for c in verify(entry) if not c.passed]

@@ -30,6 +30,7 @@ range of allocations a seed can reach never depends on what anyone bids.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -354,6 +355,7 @@ def colored_ads(
     if chunk <= 0:
         raise ValueError("chunk must be positive")
 
+    seed = operator.index(seed)  # a float would share an int's cached block
     n = instance.num_ads
     k = instance.num_slots
     best_value = -math.inf
@@ -413,6 +415,7 @@ def _leave_one_out_values(
     batch.  The columns of several j's share one kernel call, which holds
     at most about _LEAVE_ONE_OUT_BLOCK entries (see _leave_one_out_group).
     """
+    seed = operator.index(seed)
     n = instance.num_ads
     if n == 1:
         return np.zeros(1)

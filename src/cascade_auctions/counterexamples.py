@@ -3,22 +3,31 @@
 Each catalog entry packages an instance, a bid profile, and the numbers the
 construction is supposed to produce: utilities, payments, welfare and
 revenue (including the truthful full-model VCG revenue where the claim is
-comparative), plus whether the profile is a Nash equilibrium against a
-stated deviation grid.  verify() recomputes everything through the public
-mechanism code and reports each assertion separately.
+comparative), plus whether the profile is a Nash equilibrium.  verify()
+recomputes everything through the public mechanism code and reports each
+assertion separately.
 
 Names ending in -ovb rely on an overbidding equilibrium; -noovb entries
-stay within no-overbidding profiles.  poa entries exhibit a bad
-equilibrium (the ratio degrades with the parameter), pos entries a good
-one.
+stay within no-overbidding profiles, so their deviations are capped at
+the deviator's true value.  poa entries exhibit a bad equilibrium (the
+ratio degrades with the parameter), pos entries a good one.
+
+The Nash claim is checked exactly: both mechanisms see a bid only through
+its rank, so verify() tries the bids just below, at and just above every
+score the deviator's can meet (mechanisms._rank_deviations).
 """
 from __future__ import annotations
 
+import functools
+import inspect
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from .exact import solve_exact
 from .mechanisms import (
+    _rank_deviations,
     gsp_outcome,
     is_nash,
     truthful_profile,
@@ -37,7 +46,9 @@ class LemmaInstance:
     ``expectations`` maps assertion keys to expected numbers: "sw",
     "revenue", "optimal" (full-model optimum), "welfare_ratio",
     "apdc_revenue" (truthful full-model VCG revenue), "u_<id>", "p_<id>".
-    ``nash_expected`` is None when the entry makes no equilibrium claim.
+    ``nash_expected`` is None when the entry makes no equilibrium claim;
+    otherwise it says whether any unilateral deviation gains, checked at
+    every rank breakpoint and, for -noovb entries, up to the true value.
     """
 
     name: str
@@ -49,7 +60,6 @@ class LemmaInstance:
     expected_alloc: tuple[int, ...] | None = None
     alloc_is_optimal: bool | None = None
     nash_expected: bool | None = None
-    grids: dict[int, tuple[float, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -67,25 +77,30 @@ def _uniform_ads(values, qualities, continuations) -> tuple[Ad, ...]:
     )
 
 
-def _flat_ladder(num_slots: int) -> SlotLadder:
-    return SlotLadder.from_factors([1.0] * (num_slots - 1), num_slots=num_slots)
+def _ladder(num_slots: int, factor: float = 1.0) -> SlotLadder:
+    """num_slots slots, each seen by a factor of those who saw the one above."""
+    return SlotLadder.from_factors([factor] * (num_slots - 1), num_slots=num_slots)
 
 
 def _check_eps(eps: float) -> float:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie strictly inside (0, 1), got {eps}")
+    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be a real number strictly inside (0, 1), got {eps!r}")
     return float(eps)
 
 
 def _check_slots(num_slots: int) -> int:
-    if num_slots < 2:
-        raise ValueError(f"need at least 2 slots, got {num_slots}")
-    return int(num_slots)
+    try:
+        k = operator.index(num_slots)
+    except TypeError:
+        raise ValueError(f"num_slots must be an integer, got {num_slots!r}") from None
+    if k < 2:
+        raise ValueError(f"need at least 2 slots, got {k}")
+    return k
 
 
 def _gsp_not_ir() -> LemmaInstance:
     ads = _uniform_ads([1.0] * 3, [1.0] * 3, [0.0] * 3)
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     return LemmaInstance(
         name="gsp-not-ir",
         claim="second-price charges a zero-CTR slot: truthful bidder loses money",
@@ -102,14 +117,13 @@ def _gsp_not_ir() -> LemmaInstance:
         },
         expected_alloc=(1, 2),
         nash_expected=False,
-        grids={a: (0.0, 0.5, 1.0) for a in (1, 2, 3)},
     )
 
 
 def _gsp_sw_poa_ovb(eps: float = 0.1) -> LemmaInstance:
     eps = _check_eps(eps)
     ads = _uniform_ads([eps, 1.0], [1.0, 1.0], [eps, 1.0 - eps])
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     optimal = 1.0 + eps * (1.0 - eps)
     return LemmaInstance(
         name="gsp-sw-poa-ovb",
@@ -129,10 +143,6 @@ def _gsp_sw_poa_ovb(eps: float = 0.1) -> LemmaInstance:
         },
         expected_alloc=(1, 2),
         nash_expected=True,
-        grids={
-            1: (0.0, eps * eps / 4.0, eps * eps / 2.0, eps / 2.0, eps, 1.0, 10.0, 20.0),
-            2: (0.0, eps * eps / 2.0, eps, 1.0, 10.0, 20.0),
-        },
     )
 
 
@@ -142,7 +152,7 @@ def _blocked_cascade_instance(num_slots: int, tail_value: float) -> AuctionInsta
     values = [1.0] + [tail_value] * (n - 1)
     continuations = [0.0] + [1.0] * (n - 1)
     ads = _uniform_ads(values, [1.0] * n, continuations)
-    return AuctionInstance(ads, _flat_ladder(num_slots))
+    return AuctionInstance(ads, _ladder(num_slots))
 
 
 def _gsp_sw_poa_noovb(num_slots: int = 4) -> LemmaInstance:
@@ -167,7 +177,6 @@ def _gsp_sw_poa_noovb(num_slots: int = 4) -> LemmaInstance:
         expectations=exp,
         expected_alloc=tuple(range(1, k + 1)),
         nash_expected=True,
-        grids={a: (0.0, 0.25, 0.5, 0.75, 1.0) for a in range(1, k + 2)},
     )
 
 
@@ -190,16 +199,12 @@ def _gsp_rev_poa(eps: float = 0.1, num_slots: int = 4) -> LemmaInstance:
         },
         expected_alloc=tuple(range(1, k + 1)),
         nash_expected=True,
-        grids={
-            1: (0.0, 0.5, 1.0),
-            **{a: (0.0, (1.0 - eps) / 2.0, 1.0 - eps) for a in range(2, k + 2)},
-        },
     )
 
 
 def _gsp_sw_pos() -> LemmaInstance:
     ads = _uniform_ads([1.0] * 3, [1.0] * 3, [1.0] * 3)
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     return LemmaInstance(
         name="gsp-sw-pos",
         claim="truthful profile is an efficient equilibrium: welfare matches the optimum",
@@ -220,14 +225,13 @@ def _gsp_sw_pos() -> LemmaInstance:
         expected_alloc=(1, 2),
         alloc_is_optimal=True,
         nash_expected=True,
-        grids={a: (0.0, 0.5, 1.0) for a in (1, 2, 3)},
     )
 
 
 def _gsp_rev_pos() -> LemmaInstance:
     third = 1.0 / 3.0
     ads = _uniform_ads([1.0, third], [1.0, 1.0], [1.0, 0.5])
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     return LemmaInstance(
         name="gsp-rev-pos",
         claim="truthful equilibrium collects 1/3 where full-model VCG collects nothing",
@@ -246,16 +250,12 @@ def _gsp_rev_pos() -> LemmaInstance:
         },
         expected_alloc=(1, 2),
         nash_expected=True,
-        grids={
-            1: (0.0, 1.0 / 6.0, third, 0.5, 1.0, 2.0),
-            2: (0.0, 1.0 / 6.0, third, 0.5, 1.0, 2.0),
-        },
     )
 
 
 def _vcgpd_not_ir() -> LemmaInstance:
     ads = _uniform_ads([1.0] * 3, [1.0] * 3, [0.0] * 3)
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     return LemmaInstance(
         name="vcgpd-not-ir",
         claim="declared-model VCG still charges a zero-CTR slot: truthful bidder loses",
@@ -276,7 +276,7 @@ def _vcgpd_not_ir() -> LemmaInstance:
 
 def _vcgpd_sw_poa_ovb() -> LemmaInstance:
     ads = _uniform_ads([0.0, 1.0], [1.0, 1.0], [0.0, 1.0])
-    inst = AuctionInstance(ads, SlotLadder.from_factors([0.5], num_slots=2))
+    inst = AuctionInstance(ads, _ladder(2, 0.5))
     return LemmaInstance(
         name="vcgpd-sw-poa-ovb",
         claim="a worthless overbidder wins the top slot and zeroes out welfare",
@@ -295,10 +295,6 @@ def _vcgpd_sw_poa_ovb() -> LemmaInstance:
         },
         expected_alloc=(1, 2),
         nash_expected=True,
-        grids={
-            1: (0.0, 1.0, 2.0, 4.0, 8.0),
-            2: (0.0, 0.5, 1.0, 2.0, 4.0, 4.5, 8.0),
-        },
     )
 
 
@@ -325,18 +321,13 @@ def _vcgpd_sw_poa_noovb(num_slots: int = 4) -> LemmaInstance:
         expectations=exp,
         expected_alloc=tuple(range(1, k + 1)),
         nash_expected=True,
-        grids={a: (0.0, 0.25, 0.5, 0.75, 1.0) for a in range(1, k + 2)},
     )
-
-
-def _halving_ladder(num_slots: int) -> SlotLadder:
-    return SlotLadder.from_factors([0.5] * (num_slots - 1), num_slots=num_slots)
 
 
 def _vcgpd_rev_poa(num_slots: int = 4) -> LemmaInstance:
     k = _check_slots(num_slots)
     ads = _uniform_ads([1.0] * k, [1.0] * k, [1.0] * k)
-    inst = AuctionInstance(ads, _halving_ladder(k))
+    inst = AuctionInstance(ads, _ladder(k, 0.5))
     prom = inst.ladder.prominences
     total = sum(prom)
     last = prom[-1]
@@ -359,13 +350,12 @@ def _vcgpd_rev_poa(num_slots: int = 4) -> LemmaInstance:
         expectations=exp,
         expected_alloc=tuple(range(1, k + 1)),
         nash_expected=True,
-        grids={a: (0.0, 0.25, 0.5, 0.75, 1.0) for a in range(1, k + 1)},
     )
 
 
 def _vcgpd_sw_pos() -> LemmaInstance:
     ads = _uniform_ads([1.0] * 3, [1.0] * 3, [1.0] * 3)
-    inst = AuctionInstance(ads, _flat_ladder(2))
+    inst = AuctionInstance(ads, _ladder(2))
     return LemmaInstance(
         name="vcgpd-sw-pos",
         claim="truthful declared-model VCG is efficient here: welfare matches the optimum",
@@ -386,13 +376,12 @@ def _vcgpd_sw_pos() -> LemmaInstance:
         expected_alloc=(1, 2),
         alloc_is_optimal=True,
         nash_expected=True,
-        grids={a: (0.0, 0.5, 1.0) for a in (1, 2, 3)},
     )
 
 
 def _vcgpd_rev_pos_ovb() -> LemmaInstance:
     ads = _uniform_ads([1.0, 0.0], [1.0, 1.0], [1.0, 0.5])
-    inst = AuctionInstance(ads, SlotLadder.from_factors([0.5], num_slots=2))
+    inst = AuctionInstance(ads, _ladder(2, 0.5))
     return LemmaInstance(
         name="vcgpd-rev-pos-ovb",
         claim="an overbidding equilibrium yields revenue 1/4 against 0 truthful full-model revenue",
@@ -411,10 +400,6 @@ def _vcgpd_rev_pos_ovb() -> LemmaInstance:
         },
         expected_alloc=(1, 2),
         nash_expected=True,
-        grids={
-            1: (0.0, 0.2, 0.25, 0.4, 0.5, 1.0, 2.0),
-            2: (0.0, 0.25, 0.5, 1.0, 1.5, 2.0),
-        },
     )
 
 
@@ -422,7 +407,7 @@ def _vcgpd_rev_pos_noovb(num_slots: int = 4) -> LemmaInstance:
     k = _check_slots(num_slots)
     n = k + 1
     ads = _uniform_ads([1.0] * n, [1.0] * n, [1.0] * n)
-    inst = AuctionInstance(ads, _halving_ladder(k))
+    inst = AuctionInstance(ads, _ladder(k, 0.5))
     prom = inst.ladder.prominences
     total = sum(prom)
     exp: dict[str, float] = {
@@ -446,7 +431,6 @@ def _vcgpd_rev_pos_noovb(num_slots: int = 4) -> LemmaInstance:
         expectations=exp,
         expected_alloc=tuple(range(1, k + 1)),
         nash_expected=True,
-        grids={a: (0.0, 0.25, 0.5, 0.75, 1.0) for a in range(1, n + 1)},
     )
 
 
@@ -477,17 +461,10 @@ def lemma_instance(
     """Builds a catalog entry; params apply only where the entry uses them."""
     if name not in _CATALOG:
         raise ValueError(f"unknown catalog entry {name!r}; known: {sorted(_CATALOG)}")
-    kwargs = {}
-    if eps is not None:
-        kwargs["eps"] = eps
-    if num_slots is not None:
-        kwargs["num_slots"] = num_slots
-    try:
-        return _CATALOG[name](**kwargs)
-    except TypeError:
-        raise ValueError(
-            f"entry {name!r} does not take parameters {sorted(kwargs)}"
-        ) from None
+    kwargs = {key: value for key, value in (("eps", eps), ("num_slots", num_slots)) if value is not None}
+    if set(kwargs) - set(inspect.signature(_CATALOG[name]).parameters):
+        raise ValueError(f"entry {name!r} does not take parameters {sorted(kwargs)}")
+    return _CATALOG[name](**kwargs)
 
 
 _MECHANISMS = {"gsp": gsp_outcome, "vcg-pdc": vcg_pdc_outcome}
@@ -498,13 +475,7 @@ def verify(entry: LemmaInstance, tol: float = 1e-9) -> list[CheckResult]:
     mech = _MECHANISMS[entry.mechanism]
     outcome = mech(entry.instance, entry.bids)
     checks: list[CheckResult] = []
-
-    optimal_cache: dict[str, object] = {}
-
-    def exact_result():
-        if "res" not in optimal_cache:
-            optimal_cache["res"] = solve_exact(entry.instance)
-        return optimal_cache["res"]
+    exact_result = functools.cache(lambda: solve_exact(entry.instance))
 
     def actual_for(key: str) -> float:
         if key == "sw":
@@ -524,50 +495,23 @@ def verify(entry: LemmaInstance, tol: float = 1e-9) -> list[CheckResult]:
             return outcome.payments[int(key[2:])]
         raise ValueError(f"unknown expectation key {key!r}")
 
-    for key in sorted(entry.expectations):
-        expected = entry.expectations[key]
+    for key, expected in sorted(entry.expectations.items()):
         actual = actual_for(key)
-        checks.append(
-            CheckResult(
-                label=key,
-                expected=repr(expected),
-                actual=repr(actual),
-                passed=abs(actual - expected) <= tol,
-            )
-        )
-
+        checks.append(CheckResult(key, repr(expected), repr(actual), abs(actual - expected) <= tol))
+    slots = outcome.alloc.slots
     if entry.expected_alloc is not None:
-        checks.append(
-            CheckResult(
-                label="alloc",
-                expected=repr(entry.expected_alloc),
-                actual=repr(outcome.alloc.slots),
-                passed=outcome.alloc.slots == entry.expected_alloc,
-            )
-        )
-
+        checks.append(CheckResult("alloc", repr(entry.expected_alloc), repr(slots), slots == entry.expected_alloc))
     if entry.alloc_is_optimal is not None:
-        exact_alloc = exact_result().best_alloc.slots
-        matches = outcome.alloc.slots == exact_alloc
-        checks.append(
-            CheckResult(
-                label="alloc_is_optimal",
-                expected=repr(entry.alloc_is_optimal),
-                actual=repr(matches),
-                passed=matches == entry.alloc_is_optimal,
-            )
-        )
-
+        matches = slots == exact_result().best_alloc.slots
+        checks.append(CheckResult("alloc_is_optimal", repr(entry.alloc_is_optimal), repr(matches),
+                                  matches == entry.alloc_is_optimal))
     if entry.nash_expected is not None:
-        result = is_nash(entry.instance, entry.bids, mech, entry.grids or {}, eps=tol)
-        checks.append(
-            CheckResult(
-                label="nash",
-                expected=repr(entry.nash_expected),
-                actual=repr(result.is_equilibrium)
-                if result.is_equilibrium
-                else f"deviation agent={result.agent} bid={result.bid} gain={result.gain:.6g}",
-                passed=result.is_equilibrium == entry.nash_expected,
-            )
-        )
+        caps = truthful_profile(entry.instance) if entry.name.endswith("-noovb") else {}
+        deviations = {aid: _rank_deviations(entry.instance, entry.bids, aid, caps.get(aid))
+                      for aid in entry.instance.ids}
+        result = is_nash(entry.instance, entry.bids, mech, deviations, eps=tol)
+        actual = repr(True) if result.is_equilibrium else (
+            f"deviation agent={result.agent} bid={result.bid} gain={result.gain:.6g}")
+        checks.append(CheckResult("nash", repr(entry.nash_expected), actual,
+                                  result.is_equilibrium == entry.nash_expected))
     return checks

@@ -38,6 +38,7 @@ the draws never depend on a bid.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -104,7 +105,7 @@ class MechanismOutcome:
 
 @dataclass(frozen=True)
 class NashCheck:
-    """Outcome of a grid deviation search.
+    """Outcome of a search over listed deviations.
 
     When a profitable deviation exists, the most profitable one found is
     reported.
@@ -161,6 +162,20 @@ def _settle(
     )
 
 
+def _ranked(
+    instance: AuctionInstance, profile: dict[int, float], by_quality: bool = True
+) -> tuple[list[int], dict[int, float]]:
+    """The ads in rank order, and each ad's quality-weighted bid.
+
+    Ads rank by quality-weighted bid, or by bid alone when not
+    ``by_quality``; ties go to the smaller ad id.  A bid reaches the
+    rank-based mechanisms only through this order (see _rank_deviations).
+    """
+    weight = {aid: q * profile[aid] for aid, q in zip(instance.ids, instance.quality.tolist())}
+    score = weight if by_quality else profile
+    return sorted(instance.ids, key=lambda aid: (-score[aid], aid)), weight
+
+
 def gsp_outcome(
     instance: AuctionInstance,
     bids: BidProfile,
@@ -172,19 +187,13 @@ def gsp_outcome(
     there is none).  Ties in the ranking go to the smaller ad id.
     """
     profile = _check_bids(instance, bids)
+    ranking, weight = _ranked(instance, profile, rank_by_quality)
     k = instance.num_slots
-    quality = dict(zip(instance.ids, instance.quality.tolist()))
-
-    def score(aid: int) -> float:
-        return quality[aid] * profile[aid] if rank_by_quality else profile[aid]
-
-    ranking = sorted(instance.ids, key=lambda aid: (-score(aid), aid))
     alloc = Allocation(tuple(ranking[:k]))
     payments = dict.fromkeys(instance.ids, 0.0)
     for pos, aid in enumerate(ranking[:k]):
         if pos + 1 < len(ranking):
-            nxt = ranking[pos + 1]
-            payments[aid] = quality[nxt] * profile[nxt]
+            payments[aid] = weight[ranking[pos + 1]]
     return _settle(instance, "gsp", alloc, payments)
 
 
@@ -197,21 +206,16 @@ def vcg_pdc_outcome(instance: AuctionInstance, bids: BidProfile) -> MechanismOut
     continuation parameters; utilities of course do.
     """
     profile = _check_bids(instance, bids)
+    ranking, weight = _ranked(instance, profile)
     k = instance.num_slots
     prom = instance.ladder.prominences
-    quality = dict(zip(instance.ids, instance.quality.tolist()))
-
-    def weight(aid: int) -> float:
-        return quality[aid] * profile[aid]
-
-    ranking = sorted(instance.ids, key=lambda aid: (-weight(aid), aid))
     alloc = Allocation(tuple(ranking[:k]))
-    declared = {aid: weight(aid) * prom[pos] for pos, aid in enumerate(ranking[:k])}
+    declared = {aid: weight[aid] * prom[pos] for pos, aid in enumerate(ranking[:k])}
 
     payments = dict.fromkeys(instance.ids, 0.0)
     for aid in ranking[:k]:
         others = [o for o in ranking if o != aid]
-        without = sum(weight(o) * prom[p] for p, o in enumerate(others[:k]))
+        without = sum(weight[o] * prom[p] for p, o in enumerate(others[:k]))
         kept = sum(declared.values()) - declared[aid]
         payments[aid] = without - kept
     return _settle(instance, "vcg-pdc", alloc, payments)
@@ -310,6 +314,52 @@ def _exact_pricing(reported: AuctionInstance, budget: int | None) -> tuple[Alloc
     return res.best_alloc, best_without
 
 
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]
+
+
+def _least_bid(rate: float, target: float, strict: bool) -> float:
+    """Smallest bid b >= 0 whose score rate * b reaches ``target`` (passes it when strict).
+
+    The score never falls as b grows and nonnegative floats order as their
+    bit patterns do, so bisecting the patterns finds the exact float, where
+    target / rate can miss by an ulp; inf means no finite bid does.
+    """
+    lo, hi = 0, _INF_BITS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        score = rate * struct.unpack("<d", struct.pack("<q", mid))[0]
+        if score > target or (score == target and not strict):
+            hi = mid
+        else:
+            lo = mid + 1
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
+
+
+def _rank_deviations(instance: AuctionInstance, bids: BidProfile, agent: int, cap: float | None = None) -> list[float]:
+    """Deviations that reach every outcome open to ``agent`` in gsp_outcome or vcg_pdc_outcome.
+
+    Both see the agent's bid only through its place in _ranked's order
+    (payments come from the others' bids and the order), so its utility
+    is a step function of its bid that moves only where its score meets
+    another ad's: at b_j by bid, at q_j * b_j / q_i by quality-weighted
+    bid.  The list holds 0 and, at every such meeting under both rules,
+    the last bid whose score is below the other's, the first that equals
+    it (ties go to the smaller id) when a float does, and the first above
+    it; the largest outranks every other ad.  Bids past ``cap`` are
+    dropped and ``cap`` is added.
+    """
+    profile = _check_bids(instance, bids)
+    _, weight = _ranked(instance, profile)
+    found = {0.0} if cap is None else {0.0, float(cap)}
+    # a zero-quality agent's weighted score is 0 whatever it bids
+    for rate, scores in ((1.0, profile), (instance.ad(agent).quality, weight)):
+        for aid, target in scores.items():
+            if aid != agent and rate > 0.0:
+                first = _least_bid(rate, target, strict=False)
+                found.update((math.nextafter(first, -math.inf), first, _least_bid(rate, target, strict=True)))
+    return sorted(b for b in found if 0.0 <= b < math.inf and (cap is None or b <= cap))
+
+
 def is_nash(
     instance: AuctionInstance,
     bids: BidProfile,
@@ -320,8 +370,9 @@ def is_nash(
     """Checks the profile against unilateral deviations drawn from grids.
 
     A profile passes when no listed deviation raises the deviator's
-    utility by more than eps.  Grid search only: a deviation outside the
-    grids is never considered.
+    utility by more than eps; a deviation outside the grids is never
+    considered.  For gsp_outcome and vcg_pdc_outcome, _rank_deviations
+    lists a set that leaves none out.
     """
     base = mechanism(instance, bids)
     best: NashCheck | None = None

@@ -321,7 +321,7 @@ def multi_order_approx(
     if order_count < 0:
         raise NoOrdersError("order_count must be >= 0")
 
-    order_mat = _random_orders(instance.num_ads, order_count, seed)
+    order_mat = _random_orders(instance.num_ads, order_count, operator.index(seed))  # 1.0 would share 1's entry
     named = [_order_indices(instance, extra) for extra in extra_orders]
     if include_natural:
         named.append(_density_order(instance, 1.0))
@@ -352,6 +352,7 @@ def _leave_one_out_values(
     orders of several j's are stacked per call, at most about
     _BATCH_BLOCK entries of them.
     """
+    seed = operator.index(seed)
     n = instance.num_ads
     if n == 1:
         return np.zeros(1)

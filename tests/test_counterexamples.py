@@ -8,10 +8,13 @@ import pytest
 from cascade_auctions import (
     catalog_names,
     gsp_outcome,
+    is_nash,
     lemma_instance,
     vcg_apdc_outcome,
+    vcg_pdc_outcome,
     verify,
 )
+from cascade_auctions.mechanisms import _rank_deviations
 
 ALL_NAMES = (
     "gsp-not-ir",
@@ -80,15 +83,16 @@ def test_inapplicable_parameters_rejected():
         lemma_instance("gsp-sw-poa-ovb", num_slots=3)
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, "0.1", 0.1j])
 def test_eps_bounds_rejected(eps):
     with pytest.raises(ValueError, match="eps"):
         lemma_instance("gsp-sw-poa-ovb", eps=eps)
 
 
 def test_slot_bounds_rejected():
-    with pytest.raises(ValueError, match="slots"):
-        lemma_instance("gsp-sw-poa-noovb", num_slots=1)
+    for num_slots in (1, 2.5, "3"):
+        with pytest.raises(ValueError, match="slots"):
+            lemma_instance("gsp-sw-poa-noovb", num_slots=num_slots)
 
 
 def test_spot_values_gsp_not_ir():
@@ -144,3 +148,20 @@ def test_verify_tolerance_is_threaded():
     )
     assert any(not c.passed for c in verify(nudged))
     assert all(c.passed for c in verify(nudged, tol=1e-3))
+
+
+def test_gsp_not_ir_reports_the_zero_bid():
+    (nash,) = [c for c in verify(lemma_instance("gsp-not-ir")) if c.label == "nash"]
+    assert nash.passed
+    assert nash.actual == "deviation agent=2 bid=0.0 gain=1"
+
+
+def test_noovb_claim_rests_on_the_value_cap():
+    # uncapped, agent 2 overbids ad 1 into the top slot and gains
+    entry = lemma_instance("vcgpd-sw-poa-noovb")
+    deviations = {aid: _rank_deviations(entry.instance, entry.bids, aid) for aid in entry.instance.ids}
+    check = is_nash(entry.instance, entry.bids, vcg_pdc_outcome, deviations)
+    assert not check.is_equilibrium
+    assert check.agent == 2
+    assert check.bid > entry.instance.ad(2).value
+    assert_all_green(entry)

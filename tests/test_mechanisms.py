@@ -23,6 +23,7 @@ from cascade_auctions import (
     vcg_pdc_outcome,
 )
 from cascade_auctions import coloring, exact, sorted_dp
+from cascade_auctions.mechanisms import _rank_deviations
 from cascade_auctions.coloring import colored_ads
 from cascade_auctions.model import _ctrs, _leave_one_out_context
 from cascade_auctions.harness import DEFAULT_SLOT_FACTORS, GeneratorConfig, generate_instance
@@ -557,3 +558,105 @@ def test_is_nash_accepts_stable_gsp_profile():
     )
     grids = {1: [0.5, 2.0, 3.0], 2: [0.5, 1.0, 3.0]}
     assert is_nash(inst, truthful_profile(inst), gsp_outcome, grids).is_equilibrium
+
+
+def test_rank_deviations_find_the_underbid_a_sparse_grid_misses():
+    inst = overbid_trap_instance()
+    bids = truthful_profile(inst)
+    assert is_nash(inst, bids, gsp_outcome, grids={1: [10.0, 20.0], 2: [20.0]}).is_equilibrium
+    deviations = {aid: _rank_deviations(inst, bids, aid) for aid in inst.ids}
+    check = is_nash(inst, bids, gsp_outcome, deviations)
+    assert not check.is_equilibrium
+    assert check.agent == 1
+    assert check.bid < 9.0
+    assert check.gain == pytest.approx(4.0)
+
+
+RANK_MECHANISMS = {
+    "gsp": gsp_outcome,
+    "gsp-by-quality": lambda inst, bids: gsp_outcome(inst, bids, rank_by_quality=True),
+    "vcg-pdc": vcg_pdc_outcome,
+}
+
+
+def _rank_trial_instance(trial: int) -> tuple[AuctionInstance, dict[int, float]]:
+    # non-unit qualities, one zero-quality ad, bids on a 0.1 lattice to force
+    # ties, and the first and last ads tied under both rankings, so an agent
+    # whose id lies between theirs has a rank that only an equal score reaches
+    rng = np.random.default_rng(1600 + trial)
+    n = int(rng.integers(3, 7))
+    k = int(rng.integers(1, n + 1))
+    quality = rng.uniform(0.05, 1.0, n).round(2)
+    quality[rng.integers(1, n - 1)] = 0.0
+    quality[-1] = quality[0]
+    ads = tuple(
+        Ad(i + 1, float(v), float(q), float(c))
+        for i, (v, q, c) in enumerate(zip(rng.uniform(0.0, 2.0, n), quality, rng.uniform(0.0, 1.0, n)))
+    )
+    ladder = SlotLadder.from_factors(rng.uniform(0.3, 1.0, k - 1).tolist(), num_slots=k)
+    bids = {i + 1: float(b) for i, b in enumerate(rng.uniform(0.0, 2.0, n).round(1))}
+    bids[n] = bids[1]
+    return AuctionInstance(ads, ladder), bids
+
+
+@pytest.mark.parametrize("trial", range(10))
+@pytest.mark.parametrize("name", sorted(RANK_MECHANISMS))
+def test_rank_deviations_reach_every_outcome_a_fine_grid_reaches(name, trial):
+    mech = RANK_MECHANISMS[name]
+    inst, bids = _rank_trial_instance(trial)
+    for agent in inst.ids:
+        q = inst.ad(agent).quality
+        ties = [bids[j] for j in inst.ids if j != agent]
+        ties += [inst.ad(j).quality * bids[j] / q for j in inst.ids if j != agent and q > 0.0]
+        reference = [*np.linspace(0.0, 1.25 * max(ties + [1.0]), 801).tolist(), *ties]
+        for cap in (None, inst.ad(agent).value):
+            deviations = _rank_deviations(inst, bids, agent, cap)
+            assert deviations == sorted(set(deviations))
+            if cap is not None:
+                assert max(deviations) <= cap
+            reached: dict[tuple[int, ...], list[float]] = {}
+            for b in deviations:
+                out = mech(inst, {**bids, agent: b})
+                reached.setdefault(out.alloc.slots, []).append(out.utilities[agent])
+            for b in reference:
+                if cap is None or b <= cap:
+                    out = mech(inst, {**bids, agent: b})
+                    utilities = reached.get(out.alloc.slots, [])
+                    assert any(abs(u - out.utilities[agent]) <= 1e-9 for u in utilities), (agent, b, cap)
+
+
+SEEDED_ENTRY_POINTS = {
+    "multi_order_approx": lambda inst, seed: multi_order_approx(inst, order_count=8, seed=seed),
+    "colored_ads": lambda inst, seed: colored_ads(inst, iterations=12, seed=seed),
+    "sorted_dp-leave-one-out": lambda inst, seed: sorted_dp._leave_one_out_values(inst, order_count=8, seed=seed),
+    "coloring-leave-one-out": lambda inst, seed: coloring._leave_one_out_values(inst, iterations=12, seed=seed),
+    "vcg_apdc-sorted": lambda inst, seed: vcg_apdc_outcome(
+        inst, truthful_profile(inst), allocator="sorted", seed=seed, order_count=8),
+    "vcg_apdc-colored": lambda inst, seed: vcg_apdc_outcome(
+        inst, truthful_profile(inst), allocator="colored", seed=seed, iterations=12),
+}
+
+
+def _clear_draw_caches():
+    sorted_dp._random_orders.cache_clear()
+    coloring._seeded_block.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_ENTRY_POINTS))
+def test_float_seed_rejected_cold_and_warm_alike(name):
+    # the draw caches are lru_caches with typed=False: a float seed must
+    # not reach them, or 1.0 would read the entry of 1
+    run = SEEDED_ENTRY_POINTS[name]
+    inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=3, seed=5))
+    _clear_draw_caches()
+    with pytest.raises(TypeError):
+        run(inst, 1.0)
+    run(inst, 1)
+    with pytest.raises(TypeError):
+        run(inst, 1.0)
+    # a NumPy integer seed is the same seed, cold or warm
+    results = []
+    for seed in (np.int64(3), 3):
+        _clear_draw_caches()
+        results.append(repr(run(inst, seed)))
+    assert repr(run(inst, np.int64(3))) == results[0] == results[1]
