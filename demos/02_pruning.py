@@ -36,8 +36,10 @@ print(sum(c >= inst.num_slots for c in naive.values()), "of", len(naive),
 
 # Pruning drops every ad with at least K dominators and repeats until
 # nothing changes; the bound can only shrink as ads disappear. Each round
-# scans ads by decreasing weighted value and checks each one only against
-# the ads kept so far (the K-skyband), which gives the same survivors.
+# scans ads by decreasing weighted value: each ad that joins the K-skyband
+# is checked once against every ad still pending, and an ad leaves the
+# scan as soon as K skyband members dominate it, which gives the same
+# survivors.
 t0 = time.perf_counter()
 pruned, report = prune_instance(inst)
 dt = time.perf_counter() - t0

@@ -122,9 +122,14 @@ def _gsp_not_ir() -> LemmaInstance:
 
 def _gsp_sw_poa_ovb(eps: float = 0.1) -> LemmaInstance:
     eps = _check_eps(eps)
+    optimal = 1.0 + eps * (1.0 - eps)
+    if 2.0 * eps >= optimal:
+        raise ValueError(
+            f"eps must be below (sqrt(5) - 1) / 2 for gsp-sw-poa-ovb, got {eps!r}: "
+            "from there on the equilibrium allocation is itself optimal"
+        )
     ads = _uniform_ads([eps, 1.0], [1.0, 1.0], [eps, 1.0 - eps])
     inst = AuctionInstance(ads, _ladder(2))
-    optimal = 1.0 + eps * (1.0 - eps)
     return LemmaInstance(
         name="gsp-sw-poa-ovb",
         claim="an overbidding equilibrium drives welfare to a 2e/(1+e(1-e)) fraction",

@@ -33,10 +33,15 @@ all dominate b, none of them has T or more dominators, and there are at
 least T of them.  Either way b has at least T dominators in the skyband.
 A survivor's dominators each have fewer dominators than it has, so they
 all lie in the skyband as well.  At corner (0, 0) the margin is exactly
-wv_a - wv_b, so a dominator has strictly larger wv, in floats as well.
-Scanning ads by decreasing wv and counting each block's dominators among
-the skyband found so far plus the block itself therefore keeps exactly
-the ads the all-pairs count keeps, and gives survivors their exact counts.
+wv_a - wv_b, so a dominator has strictly larger wv, in floats as well,
+and a scan by decreasing wv meets every dominator of an ad before it.
+The scan keeps a running count per pending ad and takes pending ads a
+block at a time.  Each block ad adds its dominators within the block;
+those still under T join the skyband and are counted once against every
+later pending ad, and a pending ad whose count reaches T is dropped at
+once, with a count that is a lower bound of at least T.  A survivor is
+never dropped, so it gets its exact count, and the scan keeps exactly
+the ads the all-pairs count keeps.
 
 In floats the margin expression is evaluated as written, not factored, and
 rounding could in principle break transitivity.  The skyband count only
@@ -249,35 +254,30 @@ _SKYBAND_BLOCK = 64
 def _skyband_counts(instance: AuctionInstance, params: DominanceParams, threshold: int) -> np.ndarray:
     """Dominators per ad (in ad order) found by a threshold-skyband scan.
 
-    Walks the ads by decreasing wv (stably) in fixed blocks and counts each
-    block's dominators among the skyband so far plus the block itself; the
-    block's ads with fewer than ``threshold`` dominators join the skyband.
-    Ads below the threshold get their exact count; the others get a count
-    of at least ``threshold`` (see the module docstring).
+    The scan (see the module docstring) takes pending ads by decreasing wv,
+    stably.  Ads below ``threshold`` get their exact count; the others get
+    a count of at least ``threshold``.
     """
     wv, cont = instance.arrays()
-    n = len(wv)
+    counts = np.empty(len(wv), dtype=np.int64)
+    # the pending ads in scan order and their running counts
     order = np.argsort(-wv, kind="stable")
-    wv_s, c_s = wv[order], cont[order]
-    # the skyband fills the first m entries; each block is staged right
-    # after it so that one block call covers skyband and block together
-    sky_wv = np.empty(n)
-    sky_c = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    m = 0
-    for lo in range(0, n, _SKYBAND_BLOCK):
-        bw = wv_s[lo : lo + _SKYBAND_BLOCK]
-        bc = c_s[lo : lo + _SKYBAND_BLOCK]
-        end = m + len(bw)
-        sky_wv[m:end] = bw
-        sky_c[m:end] = bc
-        got = _dominance_block(sky_wv[:end], sky_c[:end], bw, bc, params).sum(axis=0)
-        counts[order[lo : lo + _SKYBAND_BLOCK]] = got
-        keep = got < threshold
-        kept = m + int(keep.sum())
-        sky_wv[m:kept] = bw[keep]
-        sky_c[m:kept] = bc[keep]
-        m = kept
+    pend_wv, pend_c = wv[order], cont[order]
+    run = np.zeros(len(wv), dtype=np.int64)
+    while len(order):
+        bw, bc = pend_wv[:_SKYBAND_BLOCK], pend_c[:_SKYBAND_BLOCK]
+        got = run[:_SKYBAND_BLOCK] + _dominance_block(bw, bc, bw, bc, params).sum(axis=0)
+        counts[order[:_SKYBAND_BLOCK]] = got
+        new = got < threshold
+        new_wv, new_c = bw[new], bc[new]
+        order, pend_wv, pend_c, run = (a[_SKYBAND_BLOCK:] for a in (order, pend_wv, pend_c, run))
+        chunk = _PAIR_CHUNK // max(1, len(new_wv))
+        for lo in range(0, len(run) if len(new_wv) else 0, chunk):
+            hi = lo + chunk
+            run[lo:hi] += _dominance_block(new_wv, new_c, pend_wv[lo:hi], pend_c[lo:hi], params).sum(axis=0)
+        done = run >= threshold
+        counts[order[done]] = run[done]
+        order, pend_wv, pend_c, run = (a[~done] for a in (order, pend_wv, pend_c, run))
     return counts
 
 

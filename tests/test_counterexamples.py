@@ -89,6 +89,15 @@ def test_eps_bounds_rejected(eps):
         lemma_instance("gsp-sw-poa-ovb", eps=eps)
 
 
+def test_gsp_sw_poa_ovb_rejects_eps_where_equilibrium_is_optimal():
+    # from eps = (sqrt(5) - 1) / 2 on, 2 eps >= 1 + eps (1 - eps): the
+    # equilibrium allocation is then optimal and the expectations would lie
+    for eps in (0.7, 0.9):
+        with pytest.raises(ValueError, match=f"eps.*{eps}"):
+            lemma_instance("gsp-sw-poa-ovb", eps=eps)
+    assert_all_green(lemma_instance("gsp-sw-poa-ovb", eps=0.6))
+
+
 def test_slot_bounds_rejected():
     for num_slots in (1, 2.5, "3"):
         with pytest.raises(ValueError, match="slots"):

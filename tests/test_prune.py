@@ -407,6 +407,25 @@ def all_ties_instance():
     return AuctionInstance(ads, SlotLadder.from_factors([0.9, 0.8], 3))
 
 
+def incomparable_instance():
+    # wv rises while the continuation falls: at corner (lambda_max, 0) the
+    # lower-wv ad of any pair wins, so no ad dominates another, every ad is
+    # in the skyband and none leaves the scan early
+    n = 300
+    ads = tuple(Ad(i + 1, 0.1 + 0.01 * i, 1.0, 0.99 - 0.003 * i) for i in range(n))
+    return AuctionInstance(ads, SlotLadder.from_factors([1.0, 0.8, 0.6, 0.4], 5))
+
+
+def late_joiner_instance():
+    # one ad with the lowest wv and continuation 1.0: under lambda_max = 1
+    # nothing dominates it, so it joins the skyband in the last block,
+    # long after the dominated ads ahead of it in the scan were dropped
+    base = generate_instance(GeneratorConfig(num_ads=600, num_slots=4, seed=47))
+    assert base.ladder.max_factor == 1.0
+    low = min(ad.weighted_value for ad in base.ads) / 2.0
+    return AuctionInstance(base.ads + (Ad(10_000, low, 1.0, 1.0),), base.ladder)
+
+
 PRUNE_CASES = {
     "n1500-k5": (lambda: generate_instance(GeneratorConfig(num_ads=1500, num_slots=5, seed=41)), None),
     "n300-k7": (lambda: generate_instance(GeneratorConfig(num_ads=300, num_slots=7, seed=42)), None),
@@ -414,6 +433,10 @@ PRUNE_CASES = {
     "threshold-k+1": (lambda: generate_instance(GeneratorConfig(num_ads=500, num_slots=5, seed=44)), 6),
     "duplicates": (tied_instance, None),
     "all-ties": (all_ties_instance, None),
+    "incomparable": (incomparable_instance, None),
+    "one-block": (lambda: generate_instance(GeneratorConfig(num_ads=50, num_slots=3, seed=45)), None),
+    "two-blocks-plus-one": (lambda: generate_instance(GeneratorConfig(num_ads=129, num_slots=4, seed=46)), None),
+    "late-joiner": (late_joiner_instance, None),
 }
 
 
@@ -449,6 +472,24 @@ def test_naive_counter_never_builds_the_pair_matrix():
         tracemalloc.stop()
     assert len(counts) == n
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_skyband_scan_stays_chunked():
+    # counting each new skyband member against every pending ad must go
+    # chunk by chunk: one float (64, N) block of margins alone would take
+    # 51 MB here.  The bound and the scan together peak at about 9 MB.
+    n = 10**5
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=5, seed=7))
+    inst.arrays()
+    tracemalloc.start()
+    try:
+        pruned, report = prune_instance(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.dom_counts) == n
+    assert pruned.num_ads < 100
+    assert peak < 11 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_const_lambda_order_matches_sort_key():
