@@ -15,7 +15,8 @@ optimum.
 
 The bounds, masks and orders are set up once per instance
 (``_ExactSearch``); the same set-up also solves the instance without any
-one of its ads, which is how exact VCG pricing reruns every winner.
+one of its ads, at every K, which is how exact VCG pricing reruns every
+winner.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = ["OracleResult", "enumerate_all", "solve_exact"]
 
 _ENUMERATION_CAP = 10
 _SINGLE_PASS_CAP = 14
+_UNBUDGETED_CAP = 20  # ads of the instance searched (for VCG, the reported one) allowed without a budget
 
 
 @dataclass(frozen=True)
@@ -91,26 +93,26 @@ class _ExactSearch:
     winner's leave-one-out solve on it.
 
     Why ``solve(drop=j)`` gives the value a search set up on the instance
-    without j gives: removing an ad keeps the ladder, hence lambda_max,
-    and can only lower B (both the constant-lambda optimum and UB(1) are
-    maxima over fewer ads).  A margin positive at the corners of the larger
-    rectangle is positive at those of the smaller one (at a fixed
-    lambda the margin is monotone in B, in floats too), so the masks here
-    are a subset of the smaller instance's: no leaf that search reaches is
-    excluded here.  The bounds here are no smaller (the top values and
-    continuations of fewer ads are no larger), so they stay admissible and
-    only prune less.  The search runs in id order and keeps a leaf only on
-    a strict ``>``, so it returns the first maximal leaf; its value is the
-    optimum, which the dominance constraint never removes, and
-    ``social_welfare`` scores it on this instance to the same float as on
-    the smaller one.  Only ``nodes_explored`` may differ, so a
-    node budget can run out at a different count.  Dropping an ad needs
-    K < n: with fewer than K ads left no leaf is reached and the result
-    is incomplete.
+    without j gives: it fills min(K, n-1) slots, as that search does, and
+    keeps this ladder, whose first K-1 prominences are the same floats as
+    those of the ladder cut when K = n.  So lambda_max here is no smaller,
+    and B is no smaller (both the constant-lambda optimum and UB(1) are
+    maxima over more ads and factors).  A margin positive at the corners
+    of the larger rectangle is positive at those of the smaller one (at a
+    fixed lambda the margin is monotone in B, in floats too), so the masks
+    here are a subset of that search's: no leaf it reaches is excluded
+    here.  The bounds here are no smaller (more ads and factors), so they
+    stay admissible and only prune less.  The search runs in id order and
+    keeps a leaf only on a strict ``>``, so it returns the first maximal
+    leaf; its value is the optimum, which the dominance constraint never
+    removes, and ``social_welfare`` scores it on this instance to the same
+    float as on the smaller one.  Only ``nodes_explored`` may differ, so a
+    node budget can run out at a different count.  With one ad the rerun
+    reaches the empty leaf, value 0.0.
     """
 
-    def __init__(self, instance: AuctionInstance, budget: int | None = None, hard_cap: int = 20) -> None:
-        if budget is None and instance.num_ads > hard_cap:
+    def __init__(self, instance: AuctionInstance, budget: int | None = None) -> None:
+        if budget is None and instance.num_ads > _UNBUDGETED_CAP:
             raise InstanceTooLargeError(
                 f"{instance.num_ads} ads without a node budget; pass budget= to override"
             )
@@ -138,6 +140,7 @@ class _ExactSearch:
             (j,) = instance.indices((drop,))
             used0 = 1 << j
             n -= 1
+            k = min(k, n)
 
         best_value = float("-inf")
         best_seq: list[int] | None = None
@@ -215,15 +218,14 @@ class _ExactSearch:
 def solve_exact(
     instance: AuctionInstance,
     budget: int | None = None,
-    hard_cap: int = 20,
     warm_start: Sequence[int] | None = None,
 ) -> OracleResult:
     """Optimal allocation, its welfare, and search statistics.
 
-    Without an explicit node ``budget``, instances above ``hard_cap`` ads
-    are rejected rather than silently running for hours.  ``warm_start``
+    Without an explicit node ``budget``, instances above 20 ads are
+    rejected rather than silently running for hours.  ``warm_start``
     (an allocation's id sequence) seeds the incumbent; its value is
     recomputed here so the bound arithmetic stays consistent, and an
     unknown id raises InvalidAllocationError.
     """
-    return _ExactSearch(instance, budget, hard_cap).solve(warm_start=warm_start)
+    return _ExactSearch(instance, budget).solve(warm_start=warm_start)

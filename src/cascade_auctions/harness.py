@@ -134,13 +134,13 @@ def run_pipeline(
     algorithms: Sequence[str] = _ALGORITHMS,
     trials: int = 1,
     reps: int = 5,
-    exact_cap: int = 25,
 ) -> list[BenchRecord]:
     """Generate, prune, and measure each requested algorithm per trial.
 
     Algorithms run with their defaults on the pruned instance; sorted also
-    tries both natural orders, and exact (on at most ``exact_cap`` ads)
-    gets 2,000,000 nodes and the sorted allocation as warm start.
+    tries both natural orders, and exact runs on every trial under a
+    budget of 2,000,000 nodes, with the sorted allocation as warm start;
+    its record's ``complete`` says whether it finished.
 
     The reference for ratios is the exact value when the branch and bound
     finished within budget on the pruned instance, otherwise the best
@@ -186,7 +186,7 @@ def run_pipeline(
             values["colored"] = colored_result.value
 
         exact_complete = None
-        if "exact" in algorithms and pruned.num_ads <= exact_cap:
+        if "exact" in algorithms:
             warm = sorted_result.alloc.slots if sorted_result is not None else None
             t0 = time.perf_counter()
             res = solve_exact(pruned, budget=_EXACT_BUDGET, warm_start=warm)

@@ -23,13 +23,12 @@ true model.
 
 Every allocator prices an outcome from work it sets up once.  The exact
 allocator builds one search (exact's bounds, dominance masks and orders)
-on the leave-one-out context; each winner's rerun runs on it with the
-winner masked out, and when no slot is cut the context is the reported
-instance, so the reported solve shares it too.  No instance is built per
-rerun.  The approximate allocators memoize their colorings and orders on
-(sizes, seed), so the leave-one-out reruns of one outcome, and the
-outcomes an equilibrium check builds for each deviation, draw them once;
-they price every ad from one batched, value-only pass: every
+on the reported instance, at every K; the reported solve and each
+winner's rerun, with the winner masked out, run on it.  No instance is
+built per rerun.  The approximate allocators memoize their colorings and
+orders on (sizes, seed), so the leave-one-out reruns of one outcome, and
+the outcomes an equilibrium check builds for each deviation, draw them
+once; they price every ad from one batched, value-only pass: every
 leave-one-out instance reuses the same (n-1)-ad draws, read through
 indices that skip the dropped ad, so each value is the float a separate
 rerun would give.  That sharing rests on the same fact as truthfulness:
@@ -50,7 +49,6 @@ from .model import (
     AuctionError,
     AuctionInstance,
     _ctrs,
-    _leave_one_out_context,
     _shown,
     social_welfare,
 )
@@ -146,10 +144,11 @@ def _settle(
     instance: AuctionInstance,
     mechanism: str,
     alloc: Allocation,
+    clicks: dict[int, float],
     payments: dict[int, float],
     allocator: str | None = None,
 ) -> MechanismOutcome:
-    clicks = _ctrs(instance, alloc)
+    """The outcome of ``alloc``, whose click-through rates (``_ctrs``) are ``clicks``."""
     utilities = {aid: v * clicks.get(aid, 0.0) - payments[aid] for aid, v in zip(instance.ids, instance.value.tolist())}
     return MechanismOutcome(
         mechanism=mechanism,
@@ -194,7 +193,7 @@ def gsp_outcome(
     for pos, aid in enumerate(ranking[:k]):
         if pos + 1 < len(ranking):
             payments[aid] = weight[ranking[pos + 1]]
-    return _settle(instance, "gsp", alloc, payments)
+    return _settle(instance, "gsp", alloc, _ctrs(instance, alloc), payments)
 
 
 def vcg_pdc_outcome(instance: AuctionInstance, bids: BidProfile) -> MechanismOutcome:
@@ -203,22 +202,23 @@ def vcg_pdc_outcome(instance: AuctionInstance, bids: BidProfile) -> MechanismOut
     Declared welfare of an allocation is the sum of quality * bid * slot
     prominence, so the declared optimum just ranks by quality-weighted
     bid.  Clarke payments within that model never involve the
-    continuation parameters; utilities of course do.
+    continuation parameters; utilities of course do.  A winner's payment
+    sums only the slots at and below it, since those above hold the same
+    ads with and without it, so its own bid never enters the payment.
     """
     profile = _check_bids(instance, bids)
     ranking, weight = _ranked(instance, profile)
     k = instance.num_slots
     prom = instance.ladder.prominences
     alloc = Allocation(tuple(ranking[:k]))
-    declared = {aid: weight[aid] * prom[pos] for pos, aid in enumerate(ranking[:k])}
 
     payments = dict.fromkeys(instance.ids, 0.0)
-    for aid in ranking[:k]:
-        others = [o for o in ranking if o != aid]
-        without = sum(weight[o] * prom[p] for p, o in enumerate(others[:k]))
-        kept = sum(declared.values()) - declared[aid]
+    for pos, aid in enumerate(ranking[:k]):
+        below = ranking[pos + 1 : k + 1]
+        without = sum(weight[o] * prom[p] for p, o in enumerate(below, pos))
+        kept = sum(weight[o] * prom[p] for p, o in enumerate(below[: k - pos - 1], pos + 1))
         payments[aid] = without - kept
-    return _settle(instance, "vcg-pdc", alloc, payments)
+    return _settle(instance, "vcg-pdc", alloc, _ctrs(instance, alloc), payments)
 
 
 def vcg_apdc_outcome(
@@ -240,13 +240,12 @@ def vcg_apdc_outcome(
 
     With the exact allocator an ad the optimum leaves out pays exactly
     0.0 and is not rerun: without it the optimal allocation is still
-    feasible and still optimal, so its Clarke payment is zero.  The
-    winners' reruns share one search set up on the leave-one-out context
-    (all n ads on min(K, n-1) slots): each masks its winner out, and gives
-    the value a solve of the instance without that winner would give
-    (exact's ``_ExactSearch`` says why).  When K < n the context is the
-    reported instance, so one set-up serves the whole outcome; when K = n
-    the reported solve has its own.  The approximate allocators price
+    feasible and still optimal, so its Clarke payment is zero.  One
+    search set up on the reported instance serves the whole outcome, at
+    every K: the reported solve runs on it, and each winner's rerun masks
+    the winner out, fills min(K, n-1) slots and gives the value a solve of
+    the instance without that winner would give (exact's
+    ``_ExactSearch`` says why).  The approximate allocators price
     every ad, since their range depends on the ad set, but compute all
     the leave-one-out values in one batched, value-only pass
     (``_leave_one_out_values`` of coloring and sorted_dp).  Without ad j
@@ -288,29 +287,21 @@ def vcg_apdc_outcome(
     for aid, without in best_without.items():
         own = profile[aid] * clicks[aid] if aid in clicks else 0.0
         payments[aid] = without - (total_reported - own)
-    return _settle(instance, "vcg-apdc", alloc, payments, allocator=allocator)
+    return _settle(instance, "vcg-apdc", alloc, clicks, payments, allocator=allocator)
 
 
 def _exact_pricing(reported: AuctionInstance, budget: int | None) -> tuple[Allocation, dict[int, float]]:
-    """The exact optimum of ``reported`` and, per winner, the optimum without it.
-
-    Every winner's rerun runs on one search set up on the leave-one-out
-    context; when no slot is cut that context is ``reported`` itself, so
-    the reported solve shares the set-up too.
-    """
-    context = _leave_one_out_context(reported) if reported.num_ads > 1 else reported
-    shared = _ExactSearch(context, budget)
-    res = (shared if context is reported else _ExactSearch(reported, budget)).solve()
+    """The exact optimum of ``reported`` and, per winner, the optimum without it, on one search set-up."""
+    search = _ExactSearch(reported, budget)
+    res = search.solve()
     if not res.complete:
         raise IncompleteSolveError(reported.ids, budget)
     best_without = {}
-    # n = 1 leaves no ad to rerun on: the one ad pays 0.0
-    for aid in reported.ids if reported.num_ads > 1 else ():
-        if aid in res.best_alloc.slots:
-            rerun = shared.solve(drop=aid)
-            if not rerun.complete:
-                raise IncompleteSolveError([a for a in context.ids if a != aid], budget)
-            best_without[aid] = rerun.best_value
+    for aid in res.best_alloc.slots:
+        rerun = search.solve(drop=aid)
+        if not rerun.complete:
+            raise IncompleteSolveError([a for a in reported.ids if a != aid], budget)
+        best_without[aid] = rerun.best_value
     return res.best_alloc, best_without
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -81,13 +82,14 @@ def test_solve_exact_matches_enumeration(num_ads, num_slots, seed):
 
 
 def test_solve_exact_requires_budget_above_hard_cap():
-    inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=3, seed=0))
-    with pytest.raises(InstanceTooLargeError):
-        solve_exact(inst, hard_cap=7)
-    # a budget lifts the cap
-    res = solve_exact(inst, budget=10_000_000, hard_cap=7)
+    inst = generate_instance(GeneratorConfig(num_ads=21, num_slots=2, seed=0))
+    with pytest.raises(InstanceTooLargeError, match="21 ads"):
+        solve_exact(inst)
+    # a budget lifts the cap; brute_optimum refuses 21 ads, so the 420
+    # two-ad allocations are enumerated here
+    res = solve_exact(inst, budget=10_000_000)
     assert res.complete
-    assert res.best_value == brute_optimum(inst)
+    assert res.best_value == max(social_welfare(inst, Allocation(p)) for p in permutations(inst.ids, 2))
 
 
 def test_solve_exact_budget_exhaustion_keeps_valid_incumbent():

@@ -109,11 +109,14 @@ def test_run_pipeline_validates_algorithms():
         run_pipeline(cfg, algorithms=("exact", "magic"))
 
 
-def test_run_pipeline_exact_cap_skips_exact():
-    cfg = GeneratorConfig(num_ads=9, num_slots=2, seed=7)
-    records = run_pipeline(cfg, algorithms=("exact", "sorted"), trials=1, reps=1,
-                           exact_cap=0)
-    assert all(r.algorithm != "exact" for r in records)
+def test_run_pipeline_runs_exact_on_large_pruned_instances():
+    # the prune leaves 30 of the 1000 ads: exact still runs, under its budget
+    cfg = GeneratorConfig(num_ads=1000, num_slots=5, seed=1)
+    records = run_pipeline(cfg, algorithms=("prune", "exact"), trials=1, reps=1)
+    (prune,) = [r for r in records if r.algorithm == "prune"]
+    (exact,) = [r for r in records if r.algorithm == "exact"]
+    assert prune.surviving > 25
+    assert exact.complete and exact.ratio == 1.0
 
 
 def test_emit_report_shapes_and_determinism(tmp_path):

@@ -146,6 +146,15 @@ def test_vcg_pdc_can_charge_above_true_utility():
     assert out.utilities[2] < 0.0
 
 
+@pytest.mark.parametrize("bid", [2.0, 1e3, 1e16])
+def test_vcg_pdc_payments_ignore_the_winners_own_bid(bid):
+    # the slots above a winner are the same with and without it; summing
+    # them too lost the small terms next to a bid of 1e16
+    inst = AuctionInstance([Ad(i, 1.0, 1.0, 1.0) for i in (1, 2, 3)], SlotLadder.from_factors([0.5], 2))
+    out = vcg_pdc_outcome(inst, {1: bid, 2: 1.0, 3: 1.0})
+    assert out.payments == {1: 1.0, 2: 0.5, 3: 0.0}
+
+
 def test_vcg_apdc_hand_instance():
     inst = two_ad_instance()
     out = vcg_apdc_outcome(inst, truthful_profile(inst))
@@ -454,6 +463,9 @@ def test_vcg_apdc_exact_matches_per_winner_reruns_on_generated_instances():
     ([(1.0, 0.5, 0.5)] * 3 + [(2.0, 0.25, 0.5)] * 3 + [(0.5, 1.0, 0.5)] * 2, (1.0, 1.0, 1.0)),
     ([(1.0, 1.0, 1.0)] * 4, (1.0, 1.0, 1.0, 1.0)),
     ([(0.0, 0.5, 0.5)] * 5, (0.5, 0.5)),
+    # K = n: every rerun fills the n-1 slots left
+    ([(2.0, 0.5, 0.9), (1.5, 0.8, 0.0), (1.0, 1.0, 1.0)], (0.8, 0.0, 0.6)),
+    ([(0.0, 0.5, 0.5)] * 3, (0.5, 0.5, 0.5)),
 ])
 def test_vcg_apdc_exact_matches_per_winner_reruns_on_hand_ladders(fields, factors):
     inst = AuctionInstance([Ad(i + 1, *f) for i, f in enumerate(fields)], SlotLadder(factors))
@@ -473,9 +485,9 @@ def test_vcg_apdc_exact_refuses_21_ads_without_a_budget():
         vcg_apdc_outcome(inst, truthful_profile(inst))
 
 
-@pytest.mark.parametrize("n,k", [(6, 3), (5, 1), (12, 4)])
+@pytest.mark.parametrize("n,k", [(6, 3), (5, 1), (12, 4), (1, 1), (3, 3), (6, 6)])
 def test_vcg_apdc_exact_sets_up_one_search_per_outcome(monkeypatch, n, k):
-    # with K < n the reported solve and every winner's rerun share one set-up
+    # at every K the reported solve and every winner's rerun share one set-up
     calls = {"decouple_bounds": 0, "_dominance_matrix": 0}
     for name in calls:
         real = getattr(exact, name)
