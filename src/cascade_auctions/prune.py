@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Ad, AuctionError, AuctionInstance
-from .sorted_dp import _density_order, _dp_rows
+from .sorted_dp import _density_order, _dp_top, _neg_zeros
 
 __all__ = [
     "DominanceTieError",
@@ -161,9 +161,9 @@ def const_lambda_bound(instance: AuctionInstance) -> float:
     kernel over the value-density order at lambda_max (sorted_dp's kernel).
     """
     lam = instance.ladder.max_factor
-    wv, cont = instance.arrays()
     order = _density_order(instance, lam)
-    return float(_dp_rows(wv[order], cont[order], (lam,) * (instance.num_slots - 1))[0, 0])
+    wv, cont = (a[order] for a in instance.arrays())
+    return float(_dp_top(wv, cont, (lam,) * (instance.num_slots - 1), _neg_zeros(wv)))
 
 
 def decouple_bounds(instance: AuctionInstance) -> np.ndarray:

@@ -12,16 +12,43 @@ ascending id.  One kernel, _density_order, serves natural_order, the
 natural row of multi_order_approx and exact's value pass (lambda = 1), and
 the constant-lambda prune bound (lambda_max).
 
-One kernel, _dp_rows, serves sorted_ads, the batch of orders (also run on
-the orders of every instance that drops one ad, for a VCG outcome's
-prices) and the constant-lambda prune bound.  best_s[i], the best value of
-ads i.. in slots s..K with the prominence at slot s taken as 1, is filled
-slot by slot from the bottom: take_s[i] = wv_i + (c_i * lambda_s) *
-best_{s+1}[i+1] (take_K[i] = wv_i), and best_s is the running maximum of
-take_s from the right, ties taking the ad.  Each take is the float
-expression of a scan that fills one ad at a time, and max is exact, so
-every entry equals that scan's (kept in the tests as the reference) bit
-for bit, in any batch.
+One recurrence, in two helpers, serves every caller.  best_s[i], the best
+value of ads i.. in slots s..K with the prominence at slot s taken as 1,
+is filled slot by slot from the bottom: _take computes take_s[i] = wv_i +
+(c_i * lambda_s) * best_{s+1}[i+1] (take_K[i] = wv_i), and _suffix_max
+makes best_s the running maximum of take_s from the right.  The reference
+is a scan that fills one ad at a time (kept in the tests), keeping ``take
+if take >= skip else skip`` from a skip of 0 past the last ad.  The
+maximum is np.fmax.accumulate, cheaper per entry than np.maximum's, and
+two rules make it equal that scan bit for bit:
+
+- NaN rule.  A sum may overflow to inf, and a zero factor or continuation
+  times inf is a NaN take.  The scan skips it (NaN >= skip is false), and
+  fmax skips it too.  The last ad's take reads the 0 past the end, so it
+  is never NaN, and neither is any maximum.
+- Zero rule.  No take is negative, and a NaN take has a positive take to
+  its right: the inf it read needs a positive weighted value there, and
+  the last such ad's take is at least its weighted value, since every
+  best past that ad is 0.  So a maximum of 0 means every take from ad i on
+  is +-0, and the scan then keeps take_s[i] itself, whatever its sign;
+  where the maximum is 0 the take is copied in.  A sum is -0 only when
+  both terms are, so a take is -0 only when its weighted value is;
+  without a weighted value of -0 every zero is +0 and there is nothing to
+  patch, which one check per call decides.  Every maximum is at least the
+  last ad's take, its weighted value up to the sign of a zero, so for one
+  order the check looks for a -0 only when that last value is 0
+  (_neg_zeros).  Any other
+  maximum is a positive float, which has one bit pattern however ties are
+  broken.
+
+Each take is the scan's float expression and the maximum is exact, so
+every entry equals the scan's, in any batch.  sorted_ads keeps the whole
+table (_dp_rows), since its backtrack reads every row.  The value-only
+callers, the batch of orders (also run on the orders of every instance
+that drops one ad, for a VCG outcome's prices) and the constant-lambda
+prune bound, use _dp_top: one best row and one take row, reused from
+slot K up, and slot 1's value read by one np.fmax.reduce and the zero
+rule.
 
 The random orders are a pure function of (ad count, order count, seed):
 no value or bid enters them.  multi_order_approx therefore memoizes the
@@ -94,6 +121,7 @@ class SortedDpResult:
     order_index: int | None = None
 
 
+@np.errstate(over="ignore")  # a density past the largest float ties the unbounded ones
 def _density_order(instance: AuctionInstance, lam: float) -> np.ndarray:
     """Ad-array indices in the value-density order at ``lam`` (module docstring)."""
     wv, cont = instance.arrays()
@@ -198,15 +226,13 @@ def _seed_words(entropy: tuple[int, ...], count: int) -> np.ndarray:
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 four precomputed seeding words.
 
-    PCG64 asks for generate_state(4, np.uint64) and reads the words from
-    the array's buffer, so ``words`` is one C-contiguous row of
-    _seed_words.
+    PCG64 asks for generate_state(4, np.uint64) once, while it is built,
+    and reads the words from the array's buffer, so ``words`` is one
+    C-contiguous row of _seed_words and may be replaced for the next
+    generator.
     """
 
     __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
@@ -231,8 +257,10 @@ def _random_orders(n: int, order_count: int, seed: int) -> np.ndarray:
     """
     out = np.empty((order_count, n), dtype=np.int64)
     out[:] = np.arange(n)
+    seeder = _SeedWords()
     for row, words in zip(out, _seed_words(_seed_entropy(seed), order_count)):
-        np.random.Generator(np.random.PCG64(_SeedWords(words))).shuffle(row)
+        seeder.words = words
+        np.random.Generator(np.random.PCG64(seeder)).shuffle(row)
     out.flags.writeable = False
     return out
 
@@ -245,19 +273,79 @@ def _order_indices(instance: AuctionInstance, order: Sequence[int]) -> np.ndarra
     return np.array(idx, dtype=np.int64)
 
 
-def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> np.ndarray:
-    """Table ``best[s-1, i]`` = best_s[i] (module docstring) for ads along axis 0.
+def _take(wv: np.ndarray, cont: np.ndarray, lam_s: float, below: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """take_s into ``out``, where ``below`` is best_{s+1} from ad 1 on (module docstring).
 
-    ``lam`` holds the K-1 factors of slots with a slot below them; trailing
-    axes of ``wv`` and ``cont`` hold independent orders.  Row K is 0.
+    The products and the sum are the scan's, in the same order.  Callers
+    silence the overflow and NaN warnings (the NaN rule).
+    """
+    np.multiply(cont, lam_s, out=out)
+    out *= below
+    out += wv
+    return out
+
+
+def _suffix_max(take: np.ndarray, out: np.ndarray, neg_zeros: bool) -> None:
+    """best_s into ``out``: fmax of ``take`` from the right, and the zero rule if ``neg_zeros``.
+
+    NumPy documents no tie rule for fmax, and NumPy 2.4 breaks ties both
+    ways: its accumulate over a reversed view keeps the later take, over a
+    contiguous pair and in a reduce the earlier one.  So the zero rule is
+    applied here as well as to the top.
+    """
+    np.fmax.accumulate(take[::-1], axis=0, out=out[::-1])
+    if neg_zeros:
+        np.copyto(out, take, where=out == 0.0)
+
+
+def _neg_zeros(wv: np.ndarray) -> bool:
+    """Whether the zero rule can change a bit of one order's values ``wv``.
+
+    Every maximum is at least the last ad's take, that ad's weighted value
+    up to the sign of a zero, so only a last value of 0 lets a maximum be
+    0; only then are the values searched for a -0 (module docstring).
+    """
+    return not wv[-1] and bool(np.signbit(wv).any())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the NaN rule
+def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Tables ``best[s-1, i]`` = best_s[i] and ``take[s-1, i]`` = take_s[i] (module docstring).
+
+    ``wv`` and ``cont`` list one order's ads; ``lam`` holds the K-1 factors
+    of slots with a slot below them.  Column N of ``best`` is 0.
     """
     k = len(lam) + 1
-    best = np.zeros((k + 1, wv.shape[0] + 1) + wv.shape[1:])
+    n = len(wv)
+    neg_zeros = _neg_zeros(wv)
+    best = np.zeros((k, n + 1))
+    take = np.empty((k, n))
+    take[-1] = wv
     for s in range(k, 0, -1):
-        take = wv if s == k else wv + (cont * lam[s - 1]) * best[s, 1:]
-        # maximum returns its second argument on a tie, so ties take the ad
-        np.maximum.accumulate(take[::-1], axis=0, out=best[s - 1, -2::-1])
-    return best
+        if s < k:
+            _take(wv, cont, lam[s - 1], best[s, 1:], take[s - 1])
+        _suffix_max(take[s - 1], best[s - 1, :-1], neg_zeros)
+    return best, take
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the NaN rule
+def _dp_top(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float], neg_zeros: bool) -> np.ndarray:
+    """best_1[0] (module docstring) of every order along the trailing axes.
+
+    The value-only path: one best row and one take row are reused from
+    slot K up, and slot 1 needs only its maximum over all ads, one reduce
+    and the zero rule.  ``neg_zeros`` must be true if the zero rule can
+    change a bit: _neg_zeros of one order, or for a batch whether any
+    weighted value of the instance is -0.
+    """
+    best = np.empty((len(wv) + 1,) + wv.shape[1:])
+    best[-1] = 0.0
+    take, buf = wv, np.empty(wv.shape)
+    for lam_s in reversed(lam):
+        _suffix_max(take, best[:-1], neg_zeros)
+        take = _take(wv, cont, lam_s, best[1:], buf)
+    top = np.fmax.reduce(take, axis=0)
+    return np.where(top == 0.0, take[0], top) if neg_zeros else top
 
 
 def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResult:
@@ -269,34 +357,41 @@ def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResul
     idx = _order_indices(instance, order)
     lam = instance.ladder.effective_factors  # the last factor is 0.0
     wv, cont = (a[idx] for a in instance.arrays())
-    best = _dp_rows(wv, cont, lam[:-1])
-    # slot s takes ad i when take_s[i] >= best_s[i+1].  In the last row this
-    # computes wv + (c * 0.0) * 0.0 for take_K = wv: at most the sign of a
-    # zero differs, which no comparison sees.
-    takes = wv + (cont * np.array(lam)[:, None]) * best[1:, 1:] >= best[:-1, 1:]
+    best, take = _dp_rows(wv, cont, lam[:-1])
+    takes = take >= best[:, 1:]  # slot s takes ad i when take_s[i] >= best_s[i+1]
     chosen: list[int] = []
     pos = 0
     while pos < len(order) and len(chosen) < len(lam):
-        pos += int(np.argmax(takes[len(chosen), pos:]))  # the first ad from pos on
+        pos += int(takes[len(chosen), pos:].argmax())  # the first ad from pos on
         chosen.append(order[pos])
         pos += 1
     return SortedDpResult(value=float(best[0, 0]), alloc=Allocation(tuple(chosen)))
 
 
-# table entries per block of orders in _dp_values_batch: 1 MB at any T
+# entries of a block of orders in _dp_values_batch, over its four (N, orders)
+# buffers (values, continuations, take and best): 1 MB at any T.  At N=1000
+# and K=5 or 10, blocks of 16 to 48 orders ran within 10% of each other;
+# 8 orders ran 20% slower, 64 or more 40% slower (2 vCPU Xeon, NumPy 2.4)
 _BATCH_BLOCK = 1 << 17
 
 
 def _dp_values_batch(instance: AuctionInstance, orders: np.ndarray) -> np.ndarray:
-    """DP values for many orders at once; orders is (T, N) of ad-array indices."""
+    """DP values for many orders at once; orders is (T, N) of ad-array indices.
+
+    Orders go through _dp_top in blocks of about _BATCH_BLOCK / (4N), with
+    ads along axis 0; memory stays within the block's four buffers at any
+    T and K.
+    """
     t, n = orders.shape
     lam = instance.ladder.effective_factors[:-1]
     wv_all, cont_all = instance.arrays()
-    rows = max(1, _BATCH_BLOCK // ((instance.num_slots + 1) * (n + 1)))
+    neg_zeros = np.signbit(wv_all).any()
+    rows = max(1, _BATCH_BLOCK // (4 * (n + 1)))
     values = np.empty(t)
     for start in range(0, t, rows):
-        block = orders[start : start + rows].T  # (N, rows): ads along axis 0
-        values[start : start + rows] = _dp_rows(wv_all[block], cont_all[block], lam)[0, 0]
+        # (N, rows), ads along axis 0; C order keeps every buffer of the block in one layout
+        block = np.ascontiguousarray(orders[start : start + rows].T)
+        values[start : start + rows] = _dp_top(wv_all[block], cont_all[block], lam, neg_zeros)
     return values
 
 

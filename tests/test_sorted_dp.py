@@ -220,6 +220,12 @@ def _kernel_cases():
     yield pytest.param([
         _grid_instance(rng, 8, 4, [0.5, 1.0, 3.0], [0.3, 1.0], [1.0], [1.0]) for _ in range(10)
     ], id="continuation and factor 1")
+    # sums overflow to inf, and a zero factor or continuation times inf is
+    # NaN, which the scan skips as a take that is not >= the skip
+    yield pytest.param([
+        _grid_instance(rng, 2 + t % 6, 1 + t // 6 % min(4, 2 + t % 6), [0.0, 1.0, 1.5e308], [1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+        for t in range(300)
+    ], id="overflow")
     yield pytest.param([
         generate_instance(GeneratorConfig(num_ads=n, num_slots=1, seed=n)) for n in (1, 2, 9)
     ], id="one slot")
@@ -254,17 +260,36 @@ def test_dp_matches_scalar_scan(instances):
 def test_batch_dp_matches_scalar_across_blocks():
     from cascade_auctions.sorted_dp import _BATCH_BLOCK, _dp_values_batch
 
-    inst = generate_instance(GeneratorConfig(num_ads=200, num_slots=4, seed=9))
-    rows = _BATCH_BLOCK // ((4 + 1) * (200 + 1))
+    rows = _BATCH_BLOCK // (4 * (200 + 1))
     t = 2 * rows + rows // 3
     assert t > rows and t % rows
     mat = np.array([np.random.default_rng((9, i)).permutation(200) for i in range(t)], dtype=np.int64)
-    wv, cont = inst.arrays()
-    lam = inst.ladder.effective_factors
-    batch = _dp_values_batch(inst, mat)
-    for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, t - 1):
-        want = scalar_table(wv[mat[i]].tolist(), cont[mat[i]].tolist(), lam, 4)[0][0]
-        assert repr(float(batch[i])) == repr(want), i
+    for inst in (
+        generate_instance(GeneratorConfig(num_ads=200, num_slots=4, seed=9)),
+        # zero values only, so the zero rule picks the sign of every top
+        _grid_instance(np.random.default_rng(9), 200, 4, [0.0, -0.0], [0.0, -0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]),
+    ):
+        wv, cont = inst.arrays()
+        lam = inst.ladder.effective_factors
+        batch = _dp_values_batch(inst, mat)
+        for i in range(t):
+            want = scalar_table(wv[mat[i]].tolist(), cont[mat[i]].tolist(), lam, 4)[0][0]
+            assert repr(float(batch[i])) == repr(want), i
+
+
+def test_zero_rule_check_of_one_order():
+    from cascade_auctions.sorted_dp import _neg_zeros
+
+    # NumPy 2.4's fmax happens to break the kernel's 1-D ties as the scan
+    # does, so the end-to-end cases cannot see this check go wrong
+    for wv, want in [
+        ([1.0, -0.0, 2.0], False),  # a positive last value: no maximum is 0
+        ([-0.0, 1.0, 0.0], True),
+        ([-0.0], True),
+        ([1.0, 0.0, 0.0], False),  # zeros, but no -0 to keep
+        ([2.0, 0.0, -0.0], True),
+    ]:
+        assert _neg_zeros(np.array(wv)) is want, wv
 
 
 def test_batch_dp_never_builds_the_order_by_ad_matrix():
