@@ -133,7 +133,7 @@ def _check_bids(instance: AuctionInstance, bids: BidProfile) -> dict[int, float]
             raise ValueError(f"bid for ad {aid} must be a number that fits a float, got {_shown(raw)}") from None
         if not 0.0 <= b < math.inf:
             raise ValueError(f"bid for ad {aid} must be finite and nonnegative, got {b}")
-        profile[aid] = b
+        profile[aid] = b + 0.0  # a -0.0 bid is 0.0, as a -0.0 field is in model._columns
     if len(bids) != instance.num_ads:
         extra = set(bids) - set(profile)
         raise ValueError(f"bid profile names unknown ads {sorted(extra)}")

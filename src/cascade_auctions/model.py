@@ -157,7 +157,8 @@ def _check_table(id_array: np.ndarray, table: np.ndarray) -> None:
 def _columns(ids: Any, value: Any, quality: Any, continuation: Any) -> tuple[np.ndarray, np.ndarray]:
     """A new int64 id array and float table (rows value, quality, continuation and wv), checked; an
     id that is not an integer within 64 bits, or an entry that ``Ad`` rejects (a str or a bool, say),
-    is an error naming its ad; columns of unequal lengths are an error naming the lengths."""
+    is an error naming its ad; columns of unequal lengths are an error naming the lengths.  A -0.0
+    is stored as 0.0, so no column, no wv and no take of sorted_dp's kernel is ever -0.0."""
     columns = value, quality, continuation
     lengths = [len(c) for c in (ids, *columns)]
     if len(set(lengths)) > 1:
@@ -177,6 +178,7 @@ def _columns(ids: Any, value: Any, quality: Any, continuation: Any) -> tuple[np.
         for aid, row in zip(id_array.tolist(), zip(*columns)):
             Ad(aid, *row)  # raises Ad's error for the first entry it rejects
         table[:3] = columns
+    table[:3] += 0.0  # -0.0 + 0.0 is +0.0
     np.multiply(table[1], table[0], out=table[3])
     _check_table(id_array, table)
     return id_array, table
@@ -298,7 +300,7 @@ class AuctionInstance:
                 _check_field(x, f"ad {aid}: value", math.inf)  # names the first bad ad
             new = np.fromiter(values.values(), float, len(values))
         table = self._table.copy()
-        table[0][self.indices(values)] = new
+        table[0][self.indices(values)] = new + 0.0  # no -0.0, as in _columns
         np.multiply(table[1], table[0], out=table[3])
         return self._of(self.id_array, table, self.ladder)
 

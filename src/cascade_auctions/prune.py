@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Ad, AuctionError, AuctionInstance
-from .sorted_dp import _density_order, _dp_top, _neg_zeros
+from .sorted_dp import _density_order, _dp_top
 
 __all__ = [
     "DominanceTieError",
@@ -163,7 +163,7 @@ def const_lambda_bound(instance: AuctionInstance) -> float:
     lam = instance.ladder.max_factor
     order = _density_order(instance, lam)
     wv, cont = (a[order] for a in instance.arrays())
-    return float(_dp_top(wv, cont, (lam,) * (instance.num_slots - 1), _neg_zeros(wv)))
+    return float(_dp_top(wv, cont, (lam,) * (instance.num_slots - 1)))
 
 
 def decouple_bounds(instance: AuctionInstance) -> np.ndarray:

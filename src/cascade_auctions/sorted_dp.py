@@ -20,26 +20,12 @@ makes best_s the running maximum of take_s from the right.  The reference
 is a scan that fills one ad at a time (kept in the tests), keeping ``take
 if take >= skip else skip`` from a skip of 0 past the last ad.  The
 maximum is np.fmax.accumulate, cheaper per entry than np.maximum's, and
-two rules make it equal that scan bit for bit:
-
-- NaN rule.  A sum may overflow to inf, and a zero factor or continuation
-  times inf is a NaN take.  The scan skips it (NaN >= skip is false), and
-  fmax skips it too.  The last ad's take reads the 0 past the end, so it
-  is never NaN, and neither is any maximum.
-- Zero rule.  No take is negative, and a NaN take has a positive take to
-  its right: the inf it read needs a positive weighted value there, and
-  the last such ad's take is at least its weighted value, since every
-  best past that ad is 0.  So a maximum of 0 means every take from ad i on
-  is +-0, and the scan then keeps take_s[i] itself, whatever its sign;
-  where the maximum is 0 the take is copied in.  A sum is -0 only when
-  both terms are, so a take is -0 only when its weighted value is;
-  without a weighted value of -0 every zero is +0 and there is nothing to
-  patch, which one check per call decides.  Every maximum is at least the
-  last ad's take, its weighted value up to the sign of a zero, so for one
-  order the check looks for a -0 only when that last value is 0
-  (_neg_zeros).  Any other
-  maximum is a positive float, which has one bit pattern however ties are
-  broken.
+equal to that scan bit for bit.  NaN rule: a sum may overflow to inf, and
+a zero factor or continuation times inf is a NaN take.  The scan skips it
+(NaN >= skip is false), and fmax skips it too.  The last ad's take reads
+the 0 past the end, so it is never NaN, and neither is any maximum.  No
+instance column holds -0.0 (model._columns), so no take is -0, and tied
+maxima have one bit pattern whichever one fmax keeps.
 
 Each take is the scan's float expression and the maximum is exact, so
 every entry equals the scan's, in any batch.  sorted_ads keeps the whole
@@ -47,8 +33,7 @@ table (_dp_rows), since its backtrack reads every row.  The value-only
 callers, the batch of orders (also run on the orders of every instance
 that drops one ad, for a VCG outcome's prices) and the constant-lambda
 prune bound, use _dp_top: one best row and one take row, reused from
-slot K up, and slot 1's value read by one np.fmax.reduce and the zero
-rule.
+slot K up, and slot 1's value read by one np.fmax.reduce.
 
 The random orders are a pure function of (ad count, order count, seed):
 no value or bid enters them.  multi_order_approx therefore memoizes the
@@ -285,27 +270,10 @@ def _take(wv: np.ndarray, cont: np.ndarray, lam_s: float, below: np.ndarray, out
     return out
 
 
-def _suffix_max(take: np.ndarray, out: np.ndarray, neg_zeros: bool) -> None:
-    """best_s into ``out``: fmax of ``take`` from the right, and the zero rule if ``neg_zeros``.
-
-    NumPy documents no tie rule for fmax, and NumPy 2.4 breaks ties both
-    ways: its accumulate over a reversed view keeps the later take, over a
-    contiguous pair and in a reduce the earlier one.  So the zero rule is
-    applied here as well as to the top.
-    """
+def _suffix_max(take: np.ndarray, out: np.ndarray) -> None:
+    """best_s into ``out``: fmax of ``take`` from the right.  NumPy documents no tie rule
+    for fmax, but no take is -0 (module docstring), so tied maxima are equal bits."""
     np.fmax.accumulate(take[::-1], axis=0, out=out[::-1])
-    if neg_zeros:
-        np.copyto(out, take, where=out == 0.0)
-
-
-def _neg_zeros(wv: np.ndarray) -> bool:
-    """Whether the zero rule can change a bit of one order's values ``wv``.
-
-    Every maximum is at least the last ad's take, that ad's weighted value
-    up to the sign of a zero, so only a last value of 0 lets a maximum be
-    0; only then are the values searched for a -0 (module docstring).
-    """
-    return not wv[-1] and bool(np.signbit(wv).any())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the NaN rule
@@ -317,35 +285,30 @@ def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> tuple[np
     """
     k = len(lam) + 1
     n = len(wv)
-    neg_zeros = _neg_zeros(wv)
     best = np.zeros((k, n + 1))
     take = np.empty((k, n))
     take[-1] = wv
     for s in range(k, 0, -1):
         if s < k:
             _take(wv, cont, lam[s - 1], best[s, 1:], take[s - 1])
-        _suffix_max(take[s - 1], best[s - 1, :-1], neg_zeros)
+        _suffix_max(take[s - 1], best[s - 1, :-1])
     return best, take
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the NaN rule
-def _dp_top(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float], neg_zeros: bool) -> np.ndarray:
+def _dp_top(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> np.ndarray:
     """best_1[0] (module docstring) of every order along the trailing axes.
 
     The value-only path: one best row and one take row are reused from
-    slot K up, and slot 1 needs only its maximum over all ads, one reduce
-    and the zero rule.  ``neg_zeros`` must be true if the zero rule can
-    change a bit: _neg_zeros of one order, or for a batch whether any
-    weighted value of the instance is -0.
+    slot K up, and slot 1 needs only its maximum over all ads, one reduce.
     """
     best = np.empty((len(wv) + 1,) + wv.shape[1:])
     best[-1] = 0.0
     take, buf = wv, np.empty(wv.shape)
     for lam_s in reversed(lam):
-        _suffix_max(take, best[:-1], neg_zeros)
+        _suffix_max(take, best[:-1])
         take = _take(wv, cont, lam_s, best[1:], buf)
-    top = np.fmax.reduce(take, axis=0)
-    return np.where(top == 0.0, take[0], top) if neg_zeros else top
+    return np.fmax.reduce(take, axis=0)
 
 
 def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResult:
@@ -385,13 +348,12 @@ def _dp_values_batch(instance: AuctionInstance, orders: np.ndarray) -> np.ndarra
     t, n = orders.shape
     lam = instance.ladder.effective_factors[:-1]
     wv_all, cont_all = instance.arrays()
-    neg_zeros = np.signbit(wv_all).any()
     rows = max(1, _BATCH_BLOCK // (4 * (n + 1)))
     values = np.empty(t)
     for start in range(0, t, rows):
         # (N, rows), ads along axis 0; C order keeps every buffer of the block in one layout
         block = np.ascontiguousarray(orders[start : start + rows].T)
-        values[start : start + rows] = _dp_top(wv_all[block], cont_all[block], lam, neg_zeros)
+        values[start : start + rows] = _dp_top(wv_all[block], cont_all[block], lam)
     return values
 
 

@@ -225,6 +225,20 @@ def test_budget_balance_identity(mechanism):
     assert out.social_welfare == pytest.approx(social_welfare(inst, out.alloc))
 
 
+@pytest.mark.parametrize("mechanism", [
+    gsp_outcome,
+    vcg_pdc_outcome,
+    vcg_apdc_outcome,
+    lambda i, b: vcg_apdc_outcome(i, b, allocator="sorted", order_count=4),
+    lambda i, b: vcg_apdc_outcome(i, b, allocator="colored", iterations=4),
+], ids=["gsp", "vcg-pdc", "vcg-apdc-exact", "vcg-apdc-sorted", "vcg-apdc-colored"])
+def test_negative_zero_bids_pay_and_earn_positive_zeros(mechanism):
+    inst = generate_instance(GeneratorConfig(num_ads=4, num_slots=2, seed=3))
+    out = mechanism(inst, dict.fromkeys(inst.ids, -0.0))
+    amounts = [*out.payments.values(), *out.utilities.values(), out.revenue]
+    assert not np.signbit(amounts).any(), out
+
+
 @pytest.mark.parametrize("allocator", ["colored", "sorted"])
 def test_vcg_apdc_approximate_allocators_are_seeded(allocator):
     inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=3, seed=22))

@@ -557,9 +557,35 @@ def test_derived_instances_match_instances_built_from_ads():
     _same_instance(_leave_one_out_context(inst), ads, ladder)  # n-1 = K: no slot is cut
     three = inst.without(4)
     _same_instance(_leave_one_out_context(three), ads[:3], SlotLadder(ladder.factors[:2]))
-    # a signed zero equals the unsigned one, as floats do
+    # a signed zero is stored as the unsigned one
     zero = inst.with_values({2: 0.0})
-    assert zero == inst and hash(zero) == hash(inst) and repr(zero) != repr(inst)
+    assert zero == inst and hash(zero) == hash(inst) and repr(zero) == repr(inst)
+
+
+def _negative_zero_builds():
+    """Every way to build an instance from new floats, each given a -0.0 in ad 2."""
+    ladder = SlotLadder.from_factors([0.5, 0.25], 3)
+    rows = [(1, 2.0, 0.5, 0.5), (2, 1.0, 1.0, 0.25), (3, 0.5, 0.75, 1.0), (4, 3.0, 0.25, 0.0)]
+    for field, name in enumerate(("value", "quality", "continuation"), start=1):
+        signed = [row[:field] + (-0.0,) + row[field + 1:] if row[0] == 2 else row for row in rows]
+        yield pytest.param(lambda signed=signed: AuctionInstance([Ad(*r) for r in signed], ladder), id=f"Ad-{name}")
+        yield pytest.param(lambda signed=signed: AuctionInstance.from_columns(*map(np.array, zip(*signed)), ladder),
+                           id=f"from_columns-{name}")
+    base = AuctionInstance([Ad(*r) for r in rows], ladder)
+    doc = instance_to_dict(base)
+    doc["ads"][1]["v"] = -0.0
+    yield pytest.param(lambda: load_instance(json.dumps(doc)), id="load_instance")
+    yield pytest.param(lambda: base.with_values({2: -0.0}), id="with_values")
+
+
+@pytest.mark.parametrize("build", _negative_zero_builds())
+def test_no_instance_column_holds_a_negative_zero(build):
+    from cascade_auctions.model import _leave_one_out_context
+
+    inst = build()
+    three = inst.without(4)
+    for got in (inst, inst.restricted_to([3, 2, 1]), three, _leave_one_out_context(inst), _leave_one_out_context(three)):
+        assert got.ids[1] == 2 and not np.signbit(got._table).any(), got
 
 
 # sha256 of dump_instance, recorded before the instance became columnar:

@@ -19,6 +19,7 @@ from cascade_auctions import (
     natural_order,
     random_order,
     reverse_natural_order,
+    social_welfare,
     sorted_ads,
 )
 from cascade_auctions.harness import GeneratorConfig, generate_instance
@@ -266,7 +267,7 @@ def test_batch_dp_matches_scalar_across_blocks():
     mat = np.array([np.random.default_rng((9, i)).permutation(200) for i in range(t)], dtype=np.int64)
     for inst in (
         generate_instance(GeneratorConfig(num_ads=200, num_slots=4, seed=9)),
-        # zero values only, so the zero rule picks the sign of every top
+        # zero values only, so every top is a tie of zeros
         _grid_instance(np.random.default_rng(9), 200, 4, [0.0, -0.0], [0.0, -0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]),
     ):
         wv, cont = inst.arrays()
@@ -277,19 +278,14 @@ def test_batch_dp_matches_scalar_across_blocks():
             assert repr(float(batch[i])) == repr(want), i
 
 
-def test_zero_rule_check_of_one_order():
-    from cascade_auctions.sorted_dp import _neg_zeros
-
-    # NumPy 2.4's fmax happens to break the kernel's 1-D ties as the scan
-    # does, so the end-to-end cases cannot see this check go wrong
-    for wv, want in [
-        ([1.0, -0.0, 2.0], False),  # a positive last value: no maximum is 0
-        ([-0.0, 1.0, 0.0], True),
-        ([-0.0], True),
-        ([1.0, 0.0, 0.0], False),  # zeros, but no -0 to keep
-        ([2.0, 0.0, -0.0], True),
-    ]:
-        assert _neg_zeros(np.array(wv)) is want, wv
+def test_negative_zero_values_give_the_welfare_of_positive_zeros():
+    # the last slot's take is the weighted value itself, with no sum that
+    # would turn a -0.0 into 0.0, so the instance must hold none
+    ads = (Ad(1, -0.0, 0.5, 0.5), Ad(2, -0.0, 1.0, 0.25), Ad(3, 0.0, 0.75, 1.0))
+    inst = AuctionInstance(ads, SlotLadder.from_factors([0.5], 2))
+    res = sorted_ads(inst, (1, 2, 3))
+    assert repr(res.value) == repr(social_welfare(inst, res.alloc)) == "0.0"
+    assert repr(const_lambda_bound(inst)) == "0.0"
 
 
 def test_batch_dp_never_builds_the_order_by_ad_matrix():
