@@ -112,7 +112,7 @@ class SlotLadder:
             raise InstanceFormatError("lambdas: a ladder needs at least one slot")
         for i, f in enumerate(self.factors):
             _check_field(f, f"lambdas[{i}]: factor")
-        object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
+        object.__setattr__(self, "factors", tuple(float(f) + 0.0 for f in self.factors))  # no -0.0, as in _columns
 
     @classmethod
     def from_factors(cls, factors: Iterable[float], num_slots: int | None = None) -> "SlotLadder":

@@ -28,8 +28,10 @@ instance column holds -0.0 (model._columns), so no take is -0, and tied
 maxima have one bit pattern whichever one fmax keeps.
 
 Each take is the scan's float expression and the maximum is exact, so
-every entry equals the scan's, in any batch.  sorted_ads keeps the whole
-table (_dp_rows), since its backtrack reads every row.  The value-only
+every entry equals the scan's, in any batch.  _sorted_indices keeps the
+whole table, since its backtrack reads every row; it works on ad-array
+indices, and sorted_ads and multi_order_approx's replay of its winner
+share it, so only sorted_ads maps ids to indices.  The value-only
 callers, the batch of orders (also run on the orders of every instance
 that drops one ad, for a VCG outcome's prices) and the constant-lambda
 prune bound, use _dp_top: one best row and one take row, reused from
@@ -98,7 +100,8 @@ class SortedDpResult:
         value: Welfare of the best order-respecting allocation found.
         alloc: The allocation itself (left-aligned, gap-free).
         order_index: For multi-order runs, the index of the winning order
-            (random orders come first, extra orders after); None otherwise.
+            (random orders first, then extra orders, then the natural
+            order); None otherwise.
     """
 
     value: float
@@ -277,22 +280,28 @@ def _suffix_max(take: np.ndarray, out: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the NaN rule
-def _dp_rows(wv: np.ndarray, cont: np.ndarray, lam: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Tables ``best[s-1, i]`` = best_s[i] and ``take[s-1, i]`` = take_s[i] (module docstring).
-
-    ``wv`` and ``cont`` list one order's ads; ``lam`` holds the K-1 factors
-    of slots with a slot below them.  Column N of ``best`` is 0.
-    """
-    k = len(lam) + 1
-    n = len(wv)
-    best = np.zeros((k, n + 1))
-    take = np.empty((k, n))
+def _sorted_indices(instance: AuctionInstance, idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """best_1[0] (module docstring) over the order ``idx`` of ad-array indices, and the ad-array
+    indices its allocation takes, slot by slot.  The table keeps every row for the backtrack;
+    ties prefer taking the current ad."""
+    lam = instance.ladder.effective_factors[:-1]
+    wv, cont = (a[idx] for a in instance.arrays())
+    k, n = len(lam) + 1, len(idx)
+    best = np.zeros((k, n + 1))  # best[s-1, i] = best_s[i]; column N is 0
+    take = np.empty((k, n))  # take[s-1, i] = take_s[i]
     take[-1] = wv
     for s in range(k, 0, -1):
         if s < k:
             _take(wv, cont, lam[s - 1], best[s, 1:], take[s - 1])
         _suffix_max(take[s - 1], best[s - 1, :-1])
-    return best, take
+    takes = take >= best[:, 1:]  # slot s takes ad i when take_s[i] >= best_s[i+1]
+    chosen: list[int] = []
+    pos = 0
+    while pos < n and len(chosen) < k:
+        pos += int(takes[len(chosen), pos:].argmax())  # the first ad from pos on
+        chosen.append(pos)
+        pos += 1
+    return float(best[0, 0]), idx[chosen]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the NaN rule
@@ -317,18 +326,8 @@ def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResul
     Take-or-skip DP over (position in order, next free slot); O(N*K).
     Ties prefer taking the current ad.
     """
-    idx = _order_indices(instance, order)
-    lam = instance.ladder.effective_factors  # the last factor is 0.0
-    wv, cont = (a[idx] for a in instance.arrays())
-    best, take = _dp_rows(wv, cont, lam[:-1])
-    takes = take >= best[:, 1:]  # slot s takes ad i when take_s[i] >= best_s[i+1]
-    chosen: list[int] = []
-    pos = 0
-    while pos < len(order) and len(chosen) < len(lam):
-        pos += int(takes[len(chosen), pos:].argmax())  # the first ad from pos on
-        chosen.append(order[pos])
-        pos += 1
-    return SortedDpResult(value=float(best[0, 0]), alloc=Allocation(tuple(chosen)))
+    value, chosen = _sorted_indices(instance, _order_indices(instance, order))
+    return SortedDpResult(value=value, alloc=Allocation(tuple(instance.id_array[chosen].tolist())))
 
 
 # entries of a block of orders in _dp_values_batch, over its four (N, orders)
@@ -389,8 +388,9 @@ def multi_order_approx(
 
     values = _dp_values_batch(instance, order_mat)
     best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
-    result = sorted_ads(instance, tuple(instance.id_array[order_mat[best]].tolist()))
-    return SortedDpResult(value=result.value, alloc=result.alloc, order_index=best)
+    value, chosen = _sorted_indices(instance, order_mat[best])
+    alloc = Allocation(tuple(instance.id_array[chosen].tolist()))
+    return SortedDpResult(value=value, alloc=alloc, order_index=best)
 
 
 def _leave_one_out_values(

@@ -239,6 +239,22 @@ def test_negative_zero_bids_pay_and_earn_positive_zeros(mechanism):
     assert not np.signbit(amounts).any(), out
 
 
+@pytest.mark.parametrize("mechanism", [
+    gsp_outcome,
+    vcg_pdc_outcome,
+    vcg_apdc_outcome,
+    lambda i, b: vcg_apdc_outcome(i, b, allocator="sorted", order_count=4),
+    lambda i, b: vcg_apdc_outcome(i, b, allocator="colored", iterations=4),
+], ids=["gsp", "vcg-pdc", "vcg-apdc-exact", "vcg-apdc-sorted", "vcg-apdc-colored"])
+def test_negative_zero_slot_factor_pays_and_earns_positive_zeros(mechanism):
+    # a -0.0 factor made slot 2's click rate -0.0, and ad 2's utility there -0.0
+    ads = (Ad(1, 1.0, 1.0, 0.5), Ad(2, 2.0, 0.5, 0.5), Ad(3, 0.5, 1.0, 1.0))
+    inst = AuctionInstance(ads, SlotLadder.from_factors([-0.0], 2))
+    out = mechanism(inst, truthful_profile(inst))
+    amounts = np.array([*out.payments.values(), *out.utilities.values(), out.revenue, out.social_welfare])
+    assert not np.signbit(amounts[amounts == 0.0]).any(), out  # GSP's utility of ad 1 is below 0
+
+
 @pytest.mark.parametrize("allocator", ["colored", "sorted"])
 def test_vcg_apdc_approximate_allocators_are_seeded(allocator):
     inst = generate_instance(GeneratorConfig(num_ads=8, num_slots=3, seed=22))

@@ -80,6 +80,11 @@ def test_ladder_prominences_are_prefix_products():
     assert ladder.prominences == (1.0, 0.5, 0.2)
 
 
+def test_ladder_stores_a_negative_zero_factor_as_zero():
+    ladder = SlotLadder.from_factors([-0.0], 2)
+    assert repr((ladder.factors, ladder.effective_factors, ladder.prominences)) == "((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))"
+
+
 def test_ladder_max_factor():
     assert SlotLadder.from_factors([0.3, 0.9, 0.1], 3).max_factor == 0.9
     # a K=1 ladder has no slot below its only slot

@@ -136,6 +136,44 @@ def test_multi_order_deterministic_and_indexed():
         assert replay.value == a.value
 
 
+def test_sorted_ads_returns_python_int_ids_for_an_array_order():
+    inst = generate_instance(GeneratorConfig(num_ads=9, num_slots=4, seed=6))
+    order = random_order(inst, seed=3, index=0)
+    res = sorted_ads(inst, np.array(order))
+    assert res.alloc.slots and all(type(aid) is int for aid in res.alloc.slots)
+    assert repr(res) == repr(sorted_ads(inst, order))
+
+
+def test_multi_order_maps_only_caller_ids_to_indices(monkeypatch):
+    from cascade_auctions import sorted_dp
+
+    calls = []
+    real = sorted_dp._order_indices
+    monkeypatch.setattr(sorted_dp, "_order_indices", lambda inst, order: calls.append(order) or real(inst, order))
+    inst = generate_instance(GeneratorConfig(num_ads=9, num_slots=4, seed=6))
+    multi_order_approx(inst, order_count=8, seed=1)
+    assert len(calls) == 0
+    multi_order_approx(inst, order_count=8, seed=1, extra_orders=[reverse_natural_order(inst)])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,k,seed", [(1, 1, 1), (6, 3, 2), (9, 4, 6), (30, 5, 7), (60, 10, 8)])
+def test_multi_order_replays_each_kind_of_row_as_sorted_ads(n, k, seed):
+    inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=seed))
+    for t in range(5):
+        res = multi_order_approx(inst, order_count=40, seed=t, include_natural=False)
+        replay = sorted_ads(inst, random_order(inst, seed=t, index=res.order_index))
+        assert repr((res.value, res.alloc)) == repr((replay.value, replay.alloc))
+    extra = random_order(inst, seed=seed, index=99)
+    for res, order in (
+        (multi_order_approx(inst, order_count=0, extra_orders=[extra], include_natural=False), extra),
+        (multi_order_approx(inst, order_count=0), natural_order(inst)),
+    ):
+        replay = sorted_ads(inst, order)
+        assert res.order_index == 0
+        assert repr((res.value, res.alloc)) == repr((replay.value, replay.alloc))
+
+
 def test_multi_order_extra_orders_and_errors():
     inst = two_ad_instance()
     res = multi_order_approx(
