@@ -24,6 +24,7 @@ from cascade_auctions import (
 from cascade_auctions.coloring import (
     _backtrack,
     _draw_colorings_chain,
+    _leave_one_out_values,
     _new_color_probabilities,
     _pass_memo,
     _seeded_block,
@@ -262,6 +263,73 @@ def test_pass_memo_matches_masked_formulation(inst, rows):
         for j in (0, n - 1):
             alone = _pass_memo(inst.without(inst.ids[j]), reduced_colorings)
             assert memo[:, j * rows:(j + 1) * rows].tobytes() == alone.tobytes()
+
+
+def test_pass_memo_does_not_depend_on_operand_layout():
+    inst = generate_instance(GeneratorConfig(num_ads=12, num_slots=4, seed=5))
+    wide = draw_colorings(12, 4, 120, np.random.default_rng(5))
+    colorings = np.ascontiguousarray(wide[::2])
+    expected = _pass_memo(inst, colorings).tobytes()
+    identity = np.repeat(np.arange(12)[:, None], 60, axis=1)
+    for layout in (np.asfortranarray(colorings), wide[::2]):
+        assert not layout.flags.c_contiguous
+        assert _pass_memo(inst, layout).tobytes() == expected
+    for rows in (colorings, np.asfortranarray(colorings), wide[::2]):
+        assert _pass_memo(inst, rows, identity).tobytes() == expected
+    assert masked_pass_memo(inst, colorings).tobytes() == expected
+
+
+def test_pass_memo_matches_masked_formulation_at_deep_shape():
+    # the shape of perfbench's deep workload: N=300, K=7 pruned to a few
+    # dozen ads, under the default 761 passes
+    inst = generate_instance(GeneratorConfig(num_ads=300, num_slots=7, seed=1))
+    pruned, _ = prune_instance(inst)
+    rows = default_iterations(7)
+    assert rows == 761
+    colorings = _seeded_block(pruned.num_ads, 7, 2048, 1, 0, rows)
+    memo = _pass_memo(pruned, colorings)
+    assert memo.tobytes() == masked_pass_memo(pruned, colorings).tobytes()
+
+
+def _overflow_instance():
+    """Sums past the largest float overflow to inf; ads with continuation
+    0 then scale an inf predecessor by 0, a NaN candidate."""
+    ads = [Ad(1, 1.5e308, 1.0, 1.0), Ad(2, 1.5e308, 1.0, 0.0), Ad(3, 1.5e308, 1.0, 1.0),
+           Ad(4, 1.0, 0.5, 0.5), Ad(5, 1.5e308, 1.0, 0.0)]
+    return AuctionInstance(ads, SlotLadder.from_factors([1.0, 1.0], 3))
+
+
+def scalar_pass_memo(instance, coloring):
+    """One coloring's subset DP, ad by ad in Python floats, skipping NaN
+    candidates (the NaN rule); -inf where no candidate is left."""
+    wv, cont = instance.arrays()
+    k = instance.num_slots
+    lam = [0.0, *instance.ladder.effective_factors[::-1]]
+    memo = [-math.inf] * (1 << k)
+    memo[0] = 0.0
+    for s in sorted(range(1, 1 << k), key=int.bit_count):
+        for a, color in enumerate(coloring):
+            bit = 1 << (int(color) - 1)
+            if s & bit:
+                cand = float(wv[a]) + (float(cont[a]) * lam[s.bit_count()]) * memo[s ^ bit]
+                if not math.isnan(cand):
+                    memo[s] = max(memo[s], cand)
+    return np.array(memo)
+
+
+def test_colored_overflow_follows_the_nan_rule():
+    # warnings are errors in this suite, so any overflow or NaN warning fails
+    inst = _overflow_instance()
+    res = colored_ads(inst, seed=1)
+    assert res.value == math.inf
+    assert social_welfare(inst, res.alloc) == res.value
+    assert colored_pass(inst, res.coloring).value == math.inf
+    assert _leave_one_out_values(inst, seed=1).tolist() == [math.inf] * 5
+    colorings = draw_colorings(5, 3, 200, np.random.default_rng(7))
+    memo = _pass_memo(inst, colorings)
+    assert np.isinf(memo[-1]).any()
+    for r, coloring in enumerate(colorings):
+        assert memo[:, r].tobytes() == scalar_pass_memo(inst, coloring).tobytes()
 
 
 def _golden_instance(name):
