@@ -11,6 +11,7 @@ witness instances (:mod:`.counterexamples`), and a benchmark harness
 from .coloring import (
     ColoredResult,
     ColorPassResult,
+    NaNPassesError,
     NoColoringsError,
     colored_ads,
     colored_pass,
@@ -104,6 +105,7 @@ __all__ = [
     "InvalidAllocationError",
     "LemmaInstance",
     "MechanismOutcome",
+    "NaNPassesError",
     "NashCheck",
     "NoColoringsError",
     "NoOrdersError",

@@ -15,9 +15,14 @@ at once, with the 2^K color subsets on the first axis of its memo table;
 each state reads K predecessors per coloring, one per color, not one per
 ad.  No choice table is kept: the winning allocation is replayed from the
 winning pass's memo column, taking at each state the first ad whose value
-reproduces the memo entry exactly.  colored_pass is the same kernel on a
-batch of one, and _leave_one_out_values runs it on the passes of every
-instance that drops one ad at once, for a VCG outcome's prices.
+reproduces the memo entry exactly; the replay, _backtrack, is a scalar
+loop in Python floats, since a few dozen candidates cost less that way
+than NumPy's per-call overhead.  colored_pass is the same kernel on a
+batch of one.  _leave_one_out runs it on the passes of every instance
+that drops one ad at once, each column padded to n ads by repeating its
+last ad, for a VCG outcome's prices; below K = n the outcome's own passes
+join those calls, so one call per batch and memory group gives both the
+winner and every leave-one-out value (_pricing).
 
 The colorings of a batch are a pure function of (ads, colors, chunk,
 seed, batch index): no value or bid enters them.  colored_ads therefore
@@ -41,7 +46,7 @@ import numpy as np
 from .model import Allocation, AuctionError, AuctionInstance, _leave_one_out_context
 
 __all__ = [
-    "Coloring", "NoColoringsError", "ColorPassResult", "ColoredResult",
+    "Coloring", "NoColoringsError", "NaNPassesError", "ColorPassResult", "ColoredResult",
     "default_iterations", "miss_probability_bound", "draw_colorings",
     "colored_pass", "colored_ads",
 ]
@@ -51,6 +56,10 @@ Coloring = tuple[int, ...]
 
 class NoColoringsError(AuctionError):
     """colored_ads was asked to run zero passes."""
+
+
+class NaNPassesError(AuctionError):
+    """Every color-coding pass's value is NaN, so no pass can win (the NaN rule of _pass_memo)."""
 
 
 @dataclass(frozen=True)
@@ -274,10 +283,11 @@ def _pass_memo(
     Layout rule: every (n, rows) operand of the state loop is C-ordered,
     whatever the layout of ``colorings``, so each pass over it walks
     memory in order (``wv[ads]`` takes the layout of ``ads``, which
-    _leave_one_out_values builds C-ordered).  ``colorings.T`` is a transposed view, and an index
-    computed from it keeps that layout unless asked for C order: ``take``
-    then strides n entries per read, about 4.3 ns an entry against 0.7 ns
-    on a C-ordered index (n=35, 761 rows).  Without ``ads``, wv and the
+    _leave_one_out builds C-ordered).  ``colorings.T`` is a transposed
+    view, and an index computed from it keeps that layout unless asked for
+    C order: ``take`` then strides n entries per read, about 4.3 ns an
+    entry against 0.7 ns on a C-ordered index (n=35, 761 rows).  Without
+    ``ads``, wv and the
     continuations are repeated to full arrays, since ``*=`` and ``+=``
     against an (n, 1) column run NumPy's broadcast loops, about 1.1 ns an
     entry for the pair against 0.4 ns.  Layout changes no float.
@@ -308,29 +318,61 @@ def _pass_memo(
     return memo
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the NaN rule
-def _backtrack(
-    instance: AuctionInstance, colors: np.ndarray, memo_column: np.ndarray
-) -> Allocation:
+def _backtrack(instance: AuctionInstance, colors: np.ndarray, memo_column: np.ndarray) -> Allocation:
     """Replays one pass's memo from the full state down to the empty one.
 
-    Each slot goes to the lowest-index active ad whose recomputed
-    candidate equals the memo entry exactly, the ad a strict ``>`` scan
-    over ads in index order keeps.  Every state is filled by now, so an
-    inactive ad's candidate is finite and could match: the mask stays.
+    Each slot goes to the lowest-index ad of the state's colors whose
+    recomputed candidate equals the memo entry exactly, the ad a strict
+    ``>`` scan over ads in index order keeps.  The replay is a scalar loop
+    in Python floats: each candidate is _pass_memo's expression, whose
+    ``+`` and ``*`` overflow to inf and make NaN without a warning, and a
+    NaN candidate never equals an entry.
     """
-    wv, cont = instance.arrays()
-    bits = np.left_shift(np.int64(1), colors - 1)
-    lam_by_size = _lam_by_size(instance)
+    _, _, cont, wv = instance._lists
+    lam_by_size = (0.0, *instance.ladder.effective_factors[::-1])
+    bits = [1 << (c - 1) for c in colors.tolist()]
+    memo = memo_column.tolist()
+    ids = instance.ids
     slots = []
-    state = (1 << instance.num_slots) - 1
+    state = len(memo) - 1
     while state:
-        cand = wv + (cont * lam_by_size[state.bit_count()]) * memo_column[state ^ bits]
-        hits = ((bits & state) != 0) & (cand == memo_column[state])
-        a = int(np.flatnonzero(hits)[0])
-        slots.append(instance.ids[a])
-        state ^= int(bits[a])
+        lam, target = lam_by_size[state.bit_count()], memo[state]
+        for a, bit in enumerate(bits):
+            if state & bit and wv[a] + (cont[a] * lam) * memo[state ^ bit] == target:
+                break
+        slots.append(ids[a])
+        state ^= bit
     return Allocation(tuple(slots))
+
+
+class _Winner:
+    """The winning pass so far, by the NaN rule: the first maximum among the
+    passes of a batch whose value is a number, replaced only by a strictly
+    larger one in a later batch.  colored_ads and _leave_one_out both pick
+    their pass here."""
+
+    value = None
+
+    def offer(self, memo: np.ndarray, colorings: np.ndarray, done: int) -> None:
+        """Weighs the passes of one batch: column r of ``memo`` is pass done + r,
+        which colors the ads as row r of ``colorings`` does."""
+        last = memo[-1]
+        top = np.fmax.reduce(last)
+        if top == top and (self.value is None or top > self.value):
+            j = int(np.argmax(last == top))
+            self.value, self.index = float(top), done + j
+            self.colors, self.column = colorings[j].copy(), memo[:, j].copy()
+
+    def result(self, instance: AuctionInstance, iterations_run: int) -> ColoredResult:
+        if self.value is None:
+            raise NaNPassesError(f"every color-coding pass over ads {list(instance.ids)} has the value NaN")
+        return ColoredResult(
+            value=self.value,
+            alloc=_backtrack(instance, self.colors, self.column),
+            coloring=tuple(self.colors.tolist()),
+            iteration=self.index,
+            iterations_run=iterations_run,
+        )
 
 
 def colored_pass(instance: AuctionInstance, coloring: Sequence[int]) -> ColorPassResult:
@@ -361,7 +403,8 @@ def colored_ads(
     count only refines the answer.  The rows a call uses are memoized
     (see the module docstring), so a repeated call draws nothing.  A
     ``time_budget`` in seconds is honored between batches; at least one
-    batch always runs.
+    batch always runs.  A pass whose value is NaN (the NaN rule of
+    _pass_memo) never wins; NaNPassesError says that every pass was one.
     """
     if iterations is None:
         iterations = default_iterations(instance.num_slots)
@@ -373,7 +416,7 @@ def colored_ads(
     seed = operator.index(seed)  # a float would share an int's cached block
     n = instance.num_ads
     k = instance.num_slots
-    best_value = -math.inf
+    winner = _Winner()
     started = time.perf_counter()
     done = 0
     while done < iterations:
@@ -382,31 +425,18 @@ def colored_ads(
                 break
         take = min(chunk, iterations - done)
         block = _seeded_block(n, k, chunk, seed, done // chunk, take)
-        memo = _pass_memo(instance, block)
-        j = int(np.argmax(memo[-1]))
-        if memo[-1, j] > best_value:
-            best_value = float(memo[-1, j])
-            best_index = done + j
-            best_colors = block[j].copy()
-            best_memo = memo[:, j].copy()
+        winner.offer(_pass_memo(instance, block), block, done)
         done += take
-
-    return ColoredResult(
-        value=best_value,
-        alloc=_backtrack(instance, best_colors, best_memo),
-        coloring=tuple(int(c) for c in best_colors),
-        iteration=best_index,
-        iterations_run=done,
-    )
+    return winner.result(instance, done)
 
 
 _LEAVE_ONE_OUT_BLOCK = 1 << 17
 
 
 def _leave_one_out_group(num_ads: int, num_slots: int, take: int) -> int:
-    """Dropped ads, of ``take`` columns each, per kernel call: about
+    """Column sets, of ``take`` columns each, per kernel call: about
     _LEAVE_ONE_OUT_BLOCK entries of memo (2^K per column) and of the seven
-    (n-1)-entry arrays per column, the ad indices, tiled colorings, wv,
+    n-entry arrays per column, the ad indices, tiled colorings, wv,
     continuations, scale, spread index and candidates.  The spread index
     is one C-ordered product with the offsets added in place, so it makes
     no transient copy and seven is still the peak."""
@@ -418,24 +448,55 @@ def _leave_one_out_values(
     instance: AuctionInstance, iterations: int | None = None, seed: int = 0,
     chunk: int = 2048,
 ) -> np.ndarray:
-    """Value of colored_ads without each ad, for every ad at once.
+    """Value of colored_ads without each ad, for every ad at once (see _leave_one_out)."""
+    return _leave_one_out(instance, iterations, seed, chunk, reported=False)[1]
 
-    Entry j equals ``colored_ads(reduced, iterations, seed, chunk=chunk)
-    .value`` by repr, where ``reduced`` drops the ad at index j (see
-    model._leave_one_out_context); it is 0.0 when no ad remains.  Every
-    reduced instance colors its n-1 ads with the same memoized block, so
-    the block is read once per j through an index matrix that skips ad j:
-    each column sees the same ads, colors and factors as the reduced
-    instance's pass, and _pass_memo gives it the same floats in any batch.
-    Passes are compared as colored_ads compares them: the first maximum
-    within a batch, replaced only by a strictly larger one in a later
-    batch.  The columns of several j's share one kernel call, which holds
-    at most about _LEAVE_ONE_OUT_BLOCK entries (see _leave_one_out_group).
+
+def _pricing(
+    instance: AuctionInstance, iterations: int | None = None, seed: int = 0,
+    chunk: int = 2048,
+) -> tuple[ColoredResult, np.ndarray]:
+    """``colored_ads(instance, iterations, seed, chunk=chunk)`` and
+    ``_leave_one_out_values(instance, iterations, seed, chunk)``, equal to
+    them by repr.  Below K = n the reported passes run in the kernel calls
+    of the leave-one-out columns (see _leave_one_out).  At K = n every
+    leave-one-out instance loses a slot: its passes have fewer colors
+    and factors than the reported ones and cannot share a call, so the
+    two calls stay, as they do for a count that colored_ads rejects,
+    which then raises its own error."""
+    if instance.num_slots == instance.num_ads or (iterations is not None and iterations <= 0) or chunk <= 0:
+        return colored_ads(instance, iterations, seed, chunk=chunk), _leave_one_out_values(instance, iterations, seed, chunk)
+    return _leave_one_out(instance, iterations, seed, chunk, reported=True)
+
+
+def _leave_one_out(
+    instance: AuctionInstance, iterations: int | None, seed: int, chunk: int, reported: bool
+) -> tuple[ColoredResult | None, np.ndarray]:
+    """The value of colored_ads without each ad, for every ad at once, and,
+    if ``reported`` (which needs K < n), colored_ads's result on the instance.
+
+    Entry j of the values equals ``colored_ads(reduced, iterations, seed,
+    chunk=chunk).value`` by repr, where ``reduced`` drops the ad at index
+    j (see model._leave_one_out_context); it is 0.0 when no ad remains.
+    Every reduced instance colors its n-1 ads with the same memoized
+    block, so the block is read once per j through an index column that
+    skips ad j.  That column is padded to n ads by repeating its last ad
+    with its color: the copy's candidate at every state is the same float
+    as the original's, so every maximum keeps its bits.  Each column then
+    sees the same ads, colors and factors as the reduced instance's pass,
+    and _pass_memo gives it the same floats in any batch.  The reported
+    passes, the instance's own n-ad block read through the identity
+    column, are one more column set of the same calls.  The reported
+    winner is picked by _Winner and replayed by _backtrack as colored_ads
+    picks and replays it; a value is the largest pass value that is a
+    number, over all batches, and NaNPassesError says none was.  The
+    column sets of several j's share one kernel call, which holds at most
+    about _LEAVE_ONE_OUT_BLOCK entries (see _leave_one_out_group).
     """
     seed = operator.index(seed)
     n = instance.num_ads
     if n == 1:
-        return np.zeros(1)
+        return None, np.zeros(1)
     context = _leave_one_out_context(instance)
     k = context.num_slots
     if iterations is None:
@@ -446,16 +507,31 @@ def _leave_one_out_values(
         raise ValueError("chunk must be positive")
 
     local = np.arange(n - 1)[:, None]
-    values = np.full(n, -math.inf)
+    sets = n + reported
+    values = np.full(n, math.nan)
+    winner = _Winner()
     for done in range(0, iterations, chunk):
         take = min(chunk, iterations - done)
         block = _seeded_block(n - 1, k, chunk, seed, done // chunk, take)
+        padded = np.concatenate((block, block[:, -1:]), axis=1)
+        own = _seeded_block(n, k, chunk, seed, done // chunk, take) if reported else None
         group = _leave_one_out_group(n, k, take)
-        for start in range(0, n, group):
-            drop = np.arange(start, min(start + group, n))
-            ads = np.repeat(local + (local >= drop), take, axis=1)  # (n-1, group*take)
-            memo = _pass_memo(context, np.tile(block, (len(drop), 1)), ads)
-            last = memo[-1].reshape(len(drop), take)
-            best = last[np.arange(len(drop)), last.argmax(axis=1)]
-            values[drop] = np.where(best > values[drop], best, values[drop])
-    return values
+        for start in range(0, sets, group):
+            stop = min(start + group, sets)
+            drop = np.arange(start, min(stop, n))
+            rows = [padded] * len(drop) + [own] * (stop > n)
+            # a column of set j < n lists the ads without ad j, its last one
+            # twice; a column of set n lists all n ads
+            j = np.repeat(np.arange(start, stop), take)
+            ads = np.empty((n, len(j)), dtype=np.int64)
+            np.add(local, local >= j, out=ads[:-1])
+            np.add(ads[-2], j == n, out=ads[-1])
+            memo = _pass_memo(context, np.concatenate(rows), ads)
+            last = memo[-1, : len(drop) * take].reshape(len(drop), take)
+            values[drop] = np.fmax(values[drop], np.fmax.reduce(last, axis=1))
+            if stop > n:
+                winner.offer(memo[:, -take:], own, done)
+    nan = np.isnan(values)
+    if nan.any():
+        raise NaNPassesError(f"every color-coding pass without ad {instance.ids[int(nan.argmax())]} has the value NaN")
+    return (winner.result(instance, iterations) if reported else None), values

@@ -31,8 +31,10 @@ the outcomes an equilibrium check builds for each deviation, draw them
 once; they price every ad from one batched, value-only pass: every
 leave-one-out instance reuses the same (n-1)-ad draws, read through
 indices that skip the dropped ad, so each value is the float a separate
-rerun would give.  That sharing rests on the same fact as truthfulness:
-the draws never depend on a bid.
+rerun would give.  Below K = n the reported passes or orders ride in the
+same kernel calls, so an outcome makes one call per batch and memory
+group; at K = n it makes two (see vcg_apdc_outcome).  That sharing rests
+on the same fact as truthfulness: the draws never depend on a bid.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import coloring, sorted_dp
-from .coloring import colored_ads
 from .exact import _ExactSearch
 from .model import (
     Allocation,
@@ -52,7 +53,6 @@ from .model import (
     _shown,
     social_welfare,
 )
-from .sorted_dp import multi_order_approx
 
 __all__ = [
     "IncompleteSolveError",
@@ -248,13 +248,19 @@ def vcg_apdc_outcome(
     ``_ExactSearch`` says why).  The approximate allocators price
     every ad, since their range depends on the ad set, but compute all
     the leave-one-out values in one batched, value-only pass
-    (``_leave_one_out_values`` of coloring and sorted_dp).  Without ad j
-    the rerun would draw the same (n-1)-ad colorings or orders, since
-    they depend only on (sizes, seed); the batch reads them through
-    indices that skip j, so each column sees the same ads, colors and
-    factors in the same order, and the kernels, whose columns are
-    independent and whose max is exact, give each value bit for bit.  No
-    allocation is built for a rerun.
+    (``_pricing`` of coloring and sorted_dp).  Without ad j the rerun
+    would draw the same (n-1)-ad colorings or orders, since they depend
+    only on (sizes, seed); the batch reads them through indices that
+    skip j, so each column sees the same ads, colors and factors in the
+    same order, and the kernels, whose columns are independent and whose
+    max is exact, give each value bit for bit.  No allocation is built
+    for a rerun.  Below K = n every leave-one-out instance keeps all K
+    slots, so its columns, padded to n ads, share the kernel calls of
+    the reported passes or orders: one call per batch and memory group
+    gives the allocation and every value.  At K = n the leave-one-out
+    instances have one slot fewer, a different ladder and (colored) half
+    the color subsets, so the reported call and the leave-one-out call
+    stay apart.
 
     Raises:
         IncompleteSolveError: an exact solve, of the reported instance or
@@ -263,6 +269,10 @@ def vcg_apdc_outcome(
             rerun on the shared search may explore more nodes than a
             separate solve, so it can run out at a budget that one would
             meet.
+        coloring.NaNPassesError: with the colored allocator, every pass of
+            the reported instance or of a leave-one-out instance has the
+            value NaN (a zero factor times an overflowed suffix), so there
+            is no allocation or value to price with.
     """
     if allocator not in _APDC_ALLOCATORS:
         raise ValueError(f"allocator must be one of {_APDC_ALLOCATORS}, got {allocator!r}")
@@ -273,11 +283,9 @@ def vcg_apdc_outcome(
         alloc, best_without = _exact_pricing(reported, budget)
     else:
         if allocator == "colored":
-            res = colored_ads(reported, iterations=iterations, seed=seed)
-            values = coloring._leave_one_out_values(reported, iterations=iterations, seed=seed)
+            res, values = coloring._pricing(reported, iterations, seed)
         else:
-            res = multi_order_approx(reported, order_count=order_count, seed=seed, include_natural=False)
-            values = sorted_dp._leave_one_out_values(reported, order_count=order_count, seed=seed)
+            res, values = sorted_dp._pricing(reported, order_count, seed)
         alloc = res.alloc
         best_without = dict(zip(reported.ids, values.tolist()))
     clicks = _ctrs(reported, alloc)

@@ -133,7 +133,12 @@ def _margin_terms(wv_a, c_a, wv_b, c_b):
 
 
 def _margin(terms, x: float, y: float):
-    """The margin with coefficients ``terms`` (from ``_margin_terms``) at scenario point (x, y)."""
+    """The margin with coefficients ``terms`` (from ``_margin_terms``) at scenario point (x, y).
+
+    An infinite bound ``y`` (sums past the largest float) times a zero y
+    coefficient is a NaN margin, which is not > 0: the pair is not counted
+    as a dominance.  The array callers silence that warning once per call.
+    """
     x_coef, y_coef, const = terms
     return x * x_coef + y * y_coef + const
 
@@ -172,22 +177,23 @@ def decouple_bounds(instance: AuctionInstance) -> np.ndarray:
     Bounds each term of the welfare sum separately: the i-th allocated ad
     is worth at most the i-th largest weighted value, discounted by the
     i-1 largest continuations and the slot factors below slot k.  Direct
-    O(K^2) summation.
+    O(K^2) summation in Python floats, whose ``+`` and ``*`` overflow to
+    inf without a warning.
     """
     k = instance.num_slots
     wv, cont = instance.arrays()
-    vs = np.sort(wv)[::-1][:k]
-    cs = np.sort(cont)[::-1][:k]
-    lam = np.array(instance.ladder.effective_factors, dtype=float)
-    out = np.empty(k, dtype=float)
+    vs = np.sort(wv)[::-1][:k].tolist()
+    cs = np.sort(cont)[::-1][:k].tolist()
+    lam = instance.ladder.effective_factors
+    out = []
     for start in range(1, k + 1):  # start = slot index k in the formula
         total = vs[0]
         coef = 1.0
         for t in range(1, k - start + 1):
             coef *= cs[t - 1] * lam[start + t - 2]
             total += vs[t] * coef
-        out[start - 1] = total
-    return out
+        out.append(total)
+    return np.array(out)
 
 
 def choose_bound(instance: AuctionInstance) -> DominanceParams:
@@ -221,6 +227,7 @@ def _dominance_block(
     return ok
 
 
+@np.errstate(invalid="ignore")  # a NaN margin (see _margin)
 def _dominance_matrix(instance: AuctionInstance, params: DominanceParams) -> np.ndarray:
     """Boolean matrix dom[i, j]: ad i dominates ad j.  N x N; small N only."""
     wv, cont = instance.arrays()
@@ -232,6 +239,7 @@ def _dominance_matrix(instance: AuctionInstance, params: DominanceParams) -> np.
 _PAIR_CHUNK = 1 << 13
 
 
+@np.errstate(invalid="ignore")  # a NaN margin (see _margin)
 def count_dominators_naive(instance: AuctionInstance, params: DominanceParams) -> dict[int, int]:
     """Dominator count per ad by checking all ordered pairs; O(N^2) time.
 
@@ -251,6 +259,7 @@ def count_dominators_naive(instance: AuctionInstance, params: DominanceParams) -
 _SKYBAND_BLOCK = 64
 
 
+@np.errstate(invalid="ignore")  # a NaN margin (see _margin)
 def _skyband_counts(instance: AuctionInstance, params: DominanceParams, threshold: int) -> np.ndarray:
     """Dominators per ad (in ad order) found by a threshold-skyband scan.
 

@@ -44,3 +44,28 @@ def brute_best_lex(instance: AuctionInstance) -> tuple[Allocation, float]:
     best_v = brute_optimum(instance)
     slots = min(a.slots for a, v in enumerate_all(instance) if v == best_v)
     return Allocation(slots), best_v
+
+
+def overflow_instance() -> AuctionInstance:
+    """Sums past the largest float overflow to inf; ads with continuation
+    0 then scale an inf predecessor by 0, a NaN candidate."""
+    ads = [Ad(1, 1.5e308, 1.0, 1.0), Ad(2, 1.5e308, 1.0, 0.0), Ad(3, 1.5e308, 1.0, 1.0),
+           Ad(4, 1.0, 0.5, 0.5), Ad(5, 1.5e308, 1.0, 0.0)]
+    return AuctionInstance(ads, SlotLadder.from_factors([1.0, 1.0], 3))
+
+
+def nan_pass_instances() -> tuple[AuctionInstance, AuctionInstance]:
+    """Two instances whose color-coding passes are mostly NaN: a zero slot
+    factor scales an overflowed suffix, inf * 0.  The optimum of each is
+    1.5e308.  In 12 passes at seed 1, only pass 7 of the first is a
+    number; one pass at seed 0 on the second is NaN."""
+    first = AuctionInstance(
+        [Ad(1, 1.5e308, 1.0, 0.5), Ad(2, 1.0, 1.0, 0.5), Ad(3, 1.5e308, 1.0, 0.5),
+         Ad(4, 1.5e308, 1.0, 0.5), Ad(5, 1.5e308, 1.0, 0.0), Ad(6, 1.0, 1.0, 0.0)],
+        SlotLadder.from_factors([0.0, 1.0, 1.0, 0.0]),
+    )
+    second = AuctionInstance(
+        [Ad(1, 1.5e308, 1.0, 1.0), Ad(2, 1.5e308, 1.0, 1.0), Ad(3, 1.5e308, 1.0, 1.0), Ad(4, 1.0, 0.5, 0.5)],
+        SlotLadder.from_factors([0.0, 1.0], 3),
+    )
+    return first, second

@@ -9,7 +9,9 @@ import pytest
 
 from cascade_auctions import (
     Ad,
+    AuctionError,
     AuctionInstance,
+    NaNPassesError,
     NoColoringsError,
     SlotLadder,
     colored_ads,
@@ -31,7 +33,7 @@ from cascade_auctions.coloring import (
     _surjection_table,
 )
 from cascade_auctions.harness import GeneratorConfig, generate_instance
-from conftest import brute_optimum, two_ad_instance
+from conftest import brute_optimum, nan_pass_instances, overflow_instance, two_ad_instance
 
 SURJECTIVE_5_3 = [
     c for c in itertools.product((1, 2, 3), repeat=5) if len(set(c)) == 3
@@ -291,14 +293,6 @@ def test_pass_memo_matches_masked_formulation_at_deep_shape():
     assert memo.tobytes() == masked_pass_memo(pruned, colorings).tobytes()
 
 
-def _overflow_instance():
-    """Sums past the largest float overflow to inf; ads with continuation
-    0 then scale an inf predecessor by 0, a NaN candidate."""
-    ads = [Ad(1, 1.5e308, 1.0, 1.0), Ad(2, 1.5e308, 1.0, 0.0), Ad(3, 1.5e308, 1.0, 1.0),
-           Ad(4, 1.0, 0.5, 0.5), Ad(5, 1.5e308, 1.0, 0.0)]
-    return AuctionInstance(ads, SlotLadder.from_factors([1.0, 1.0], 3))
-
-
 def scalar_pass_memo(instance, coloring):
     """One coloring's subset DP, ad by ad in Python floats, skipping NaN
     candidates (the NaN rule); -inf where no candidate is left."""
@@ -319,7 +313,7 @@ def scalar_pass_memo(instance, coloring):
 
 def test_colored_overflow_follows_the_nan_rule():
     # warnings are errors in this suite, so any overflow or NaN warning fails
-    inst = _overflow_instance()
+    inst = overflow_instance()
     res = colored_ads(inst, seed=1)
     assert res.value == math.inf
     assert social_welfare(inst, res.alloc) == res.value
@@ -330,6 +324,30 @@ def test_colored_overflow_follows_the_nan_rule():
     assert np.isinf(memo[-1]).any()
     for r, coloring in enumerate(colorings):
         assert memo[:, r].tobytes() == scalar_pass_memo(inst, coloring).tobytes()
+
+
+def test_colored_ads_skips_nan_passes():
+    # np.argmax stops at the first NaN, so one NaN pass hid the numbers of
+    # its batch; the first maximum among the numbers wins
+    first, second = nan_pass_instances()
+    memo = _pass_memo(first, _seeded_block(6, 4, 2048, 1, 0, 12))
+    assert np.flatnonzero(~np.isnan(memo[-1])).tolist() == [7]
+    res = colored_ads(first, iterations=12, seed=1)
+    assert (res.value, res.iteration, res.iterations_run) == (1.5e308, 7, 12)
+    assert social_welfare(first, res.alloc) == res.value == brute_optimum(first)
+    memo = _pass_memo(second, _seeded_block(4, 3, 2048, 1, 0, 12))
+    assert np.isnan(memo[-1, 3]) and memo[-1, 0] == 1.5e308
+    res = colored_ads(second, iterations=12, seed=1)
+    assert (res.value, res.iteration) == (1.5e308, 0)
+    assert social_welfare(second, res.alloc) == res.value == brute_optimum(second)
+
+
+def test_colored_ads_names_all_nan_passes():
+    _, second = nan_pass_instances()
+    assert np.isnan(_pass_memo(second, _seeded_block(4, 3, 2048, 0, 0, 1))[-1, 0])
+    with pytest.raises(NaNPassesError, match=r"ads \[1, 2, 3, 4\]"):
+        colored_ads(second, iterations=1, seed=0)
+    assert issubclass(NaNPassesError, AuctionError)
 
 
 def _golden_instance(name):

@@ -1,6 +1,7 @@
 """Dominance pruning: margins, bounds, counting, instance reduction."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,13 +21,14 @@ from cascade_auctions import (
     dominates,
     prune_instance,
     social_welfare,
+    solve_exact,
     w_value,
 )
 from cascade_auctions.model import Allocation
 from cascade_auctions.prune import _PlaneCounter, _fast_counts, rank_vectors
 from cascade_auctions.sorted_dp import _density_order
 from cascade_auctions.harness import GeneratorConfig, generate_instance
-from conftest import brute_optimum, two_ad_instance
+from conftest import brute_optimum, overflow_instance, two_ad_instance
 
 
 AD_A = Ad(1, 1.0, 1.0, 0.5)   # wv = 1.0
@@ -119,6 +121,20 @@ def test_decouple_bounds_hand_values():
     # by the top continuation and the first factor: 1 + 1*0.8*0.5
     ub = decouple_bounds(two_ad_instance())
     assert ub == pytest.approx([1.4, 1.0])
+
+
+def test_overflow_instance_bounds_prunes_and_solves_without_a_warning():
+    # warnings are errors in this suite: summing the bound in NumPy scalars
+    # warned on overflow, and an infinite bound times a zero y coefficient
+    # is a NaN margin, which counts no dominance
+    inst = overflow_instance()
+    assert decouple_bounds(inst).tolist() == [math.inf, math.inf, 1.5e308]
+    assert choose_bound(inst) == DominanceParams(1.0, math.inf)
+    res = solve_exact(inst)
+    assert res.complete and res.best_value == math.inf
+    pruned, report = prune_instance(inst)
+    assert pruned.ids == inst.ids and report.dom_counts == {1: 0, 2: 0, 3: 0, 4: 2, 5: 0}
+    assert count_dominators_naive(inst, choose_bound(inst)) == report.dom_counts
 
 
 def test_decouple_bounds_dominate_suffix_optima():
