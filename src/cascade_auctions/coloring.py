@@ -59,7 +59,8 @@ class NoColoringsError(AuctionError):
 
 
 class NaNPassesError(AuctionError):
-    """Every color-coding pass's value is NaN, so no pass can win (the NaN rule of _pass_memo)."""
+    """A color-coding pass, or every pass of a run, has the value NaN, so it
+    has no allocation (the NaN rule of _pass_memo)."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,9 @@ def _backtrack(instance: AuctionInstance, colors: np.ndarray, memo_column: np.nd
     ``>`` scan over ads in index order keeps.  The replay is a scalar loop
     in Python floats: each candidate is _pass_memo's expression, whose
     ``+`` and ``*`` overflow to inf and make NaN without a warning, and a
-    NaN candidate never equals an entry.
+    NaN candidate never equals an entry.  A state that no candidate
+    reproduces (a NaN entry, and any state above one) has no allocation:
+    NaNPassesError says so, whatever pass is replayed.
     """
     _, _, cont, wv = instance._lists
     lam_by_size = (0.0, *instance.ladder.effective_factors[::-1])
@@ -340,6 +343,8 @@ def _backtrack(instance: AuctionInstance, colors: np.ndarray, memo_column: np.nd
         for a, bit in enumerate(bits):
             if state & bit and wv[a] + (cont[a] * lam) * memo[state ^ bit] == target:
                 break
+        else:
+            raise NaNPassesError(f"the color-coding pass {colors.tolist()} over ads {list(ids)} has the value {memo[-1]!r}")
         slots.append(ids[a])
         state ^= bit
     return Allocation(tuple(slots))
@@ -380,7 +385,8 @@ def colored_pass(instance: AuctionInstance, coloring: Sequence[int]) -> ColorPas
 
     Subset DP over colors: a state C holds the best welfare for the last
     |C| slots using one ad per color of C.  Every state is reachable
-    because the coloring is surjective.
+    because the coloring is surjective.  NaNPassesError says the pass's
+    value is NaN (the NaN rule of _pass_memo).
     """
     colors = _check_coloring(instance, coloring)
     memo = _pass_memo(instance, colors[None, :])[:, 0]
@@ -462,9 +468,8 @@ def _pricing(
     of the leave-one-out columns (see _leave_one_out).  At K = n every
     leave-one-out instance loses a slot: its passes have fewer colors
     and factors than the reported ones and cannot share a call, so the
-    two calls stay, as they do for a count that colored_ads rejects,
-    which then raises its own error."""
-    if instance.num_slots == instance.num_ads or (iterations is not None and iterations <= 0) or chunk <= 0:
+    two calls stay."""
+    if instance.num_slots == instance.num_ads:
         return colored_ads(instance, iterations, seed, chunk=chunk), _leave_one_out_values(instance, iterations, seed, chunk)
     return _leave_one_out(instance, iterations, seed, chunk, reported=True)
 

@@ -31,10 +31,11 @@ the outcomes an equilibrium check builds for each deviation, draw them
 once; they price every ad from one batched, value-only pass: every
 leave-one-out instance reuses the same (n-1)-ad draws, read through
 indices that skip the dropped ad, so each value is the float a separate
-rerun would give.  Below K = n the reported passes or orders ride in the
-same kernel calls, so an outcome makes one call per batch and memory
-group; at K = n it makes two (see vcg_apdc_outcome).  That sharing rests
-on the same fact as truthfulness: the draws never depend on a bid.
+rerun would give.  Below K = n the reported colored passes ride in the
+same kernel calls, so a colored outcome makes one call per batch and
+memory group; at K = n it makes two (see vcg_apdc_outcome).  That
+sharing rests on the same fact as truthfulness: the draws never depend
+on a bid.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .model import (
     _shown,
     social_welfare,
 )
+from .sorted_dp import multi_order_approx
 
 __all__ = [
     "IncompleteSolveError",
@@ -248,19 +250,21 @@ def vcg_apdc_outcome(
     ``_ExactSearch`` says why).  The approximate allocators price
     every ad, since their range depends on the ad set, but compute all
     the leave-one-out values in one batched, value-only pass
-    (``_pricing`` of coloring and sorted_dp).  Without ad j the rerun
-    would draw the same (n-1)-ad colorings or orders, since they depend
-    only on (sizes, seed); the batch reads them through indices that
-    skip j, so each column sees the same ads, colors and factors in the
-    same order, and the kernels, whose columns are independent and whose
-    max is exact, give each value bit for bit.  No allocation is built
-    for a rerun.  Below K = n every leave-one-out instance keeps all K
-    slots, so its columns, padded to n ads, share the kernel calls of
-    the reported passes or orders: one call per batch and memory group
-    gives the allocation and every value.  At K = n the leave-one-out
-    instances have one slot fewer, a different ladder and (colored) half
-    the color subsets, so the reported call and the leave-one-out call
-    stay apart.
+    (``_leave_one_out_values`` of coloring and sorted_dp).  Without ad j
+    the rerun would draw the same (n-1)-ad colorings or orders, since
+    they depend only on (sizes, seed); the batch reads them through
+    indices that skip j, so each column sees the same ads, colors and
+    factors in the same order, and the kernels, whose columns are
+    independent and whose max is exact, give each value bit for bit.  No
+    allocation is built for a rerun.  Below K = n every leave-one-out instance keeps all K
+    slots, so the colored allocator's columns, padded to n ads, share
+    the kernel calls of the reported passes (``coloring._pricing``): one
+    call per batch and memory group gives the allocation and every
+    value.  At K = n the leave-one-out instances have one slot fewer, a
+    different ladder and half the color subsets, so the reported call
+    and the leave-one-out call stay apart.  The sorted allocator keeps
+    its two calls at every K: its orders sharing one call measured no
+    faster on the ``grid`` workload.
 
     Raises:
         IncompleteSolveError: an exact solve, of the reported instance or
@@ -285,7 +289,8 @@ def vcg_apdc_outcome(
         if allocator == "colored":
             res, values = coloring._pricing(reported, iterations, seed)
         else:
-            res, values = sorted_dp._pricing(reported, order_count, seed)
+            res = multi_order_approx(reported, order_count=order_count, seed=seed, include_natural=False)
+            values = sorted_dp._leave_one_out_values(reported, order_count=order_count, seed=seed)
         alloc = res.alloc
         best_without = dict(zip(reported.ids, values.tolist()))
     clicks = _ctrs(reported, alloc)

@@ -32,13 +32,10 @@ every entry equals the scan's, in any batch.  _sorted_indices keeps the
 whole table, since its backtrack reads every row; it works on ad-array
 indices, and sorted_ads and multi_order_approx's replay of its winner
 share it, so only sorted_ads maps ids to indices.  The value-only
-callers, the batch of orders and the constant-lambda prune bound, use
-_dp_top: one best row and one take row, reused from slot K up, and slot
-1's value read by one np.fmax.reduce.  The batch also runs the orders of
-every instance that drops one ad, for a VCG outcome's prices
-(_leave_one_out): each gets an empty last position, index n, that the
-batch reads as value 0 and continuation 0, and below K = n the outcome's
-own orders join the same calls (_pricing).
+callers, the batch of orders (also run on the orders of every instance
+that drops one ad, for a VCG outcome's prices) and the constant-lambda
+prune bound, use _dp_top: one best row and one take row, reused from
+slot K up, and slot 1's value read by one np.fmax.reduce.
 
 The random orders are a pure function of (ad count, order count, seed):
 no value or bid enters them.  multi_order_approx therefore memoizes the
@@ -339,26 +336,17 @@ def sorted_ads(instance: AuctionInstance, order: Sequence[int]) -> SortedDpResul
 # 8 orders ran 20% slower, 64 or more 40% slower (2 vCPU Xeon, NumPy 2.4)
 _BATCH_BLOCK = 1 << 17
 
-# the value and continuation of the empty position, index n, that
-# _dp_values_batch appends; an array, since np.concatenate would convert a
-# tuple on every call
-_EMPTY = np.zeros(1)
-_EMPTY.flags.writeable = False
-
 
 def _dp_values_batch(instance: AuctionInstance, orders: np.ndarray) -> np.ndarray:
     """DP values for many orders at once; orders is (T, N) of ad-array indices.
 
-    Index n, one past the instance's last ad, is an empty position with
-    value 0 and continuation 0 (see _leave_one_out).  Orders go through
-    _dp_top in blocks of about _BATCH_BLOCK / (4N), with ads along axis 0;
-    memory stays within the block's four buffers at any T and K.
+    Orders go through _dp_top in blocks of about _BATCH_BLOCK / (4N), with
+    ads along axis 0; memory stays within the block's four buffers at any
+    T and K.
     """
     t, n = orders.shape
     lam = instance.ladder.effective_factors[:-1]
-    wv, cont = instance.arrays()
-    padded = np.concatenate((wv, _EMPTY, cont, _EMPTY))  # one call for both columns and their 0
-    wv_all, cont_all = padded[: len(wv) + 1], padded[len(wv) + 1 :]
+    wv_all, cont_all = instance.arrays()
     rows = max(1, _BATCH_BLOCK // (4 * (n + 1)))
     values = np.empty(t)
     for start in range(0, t, rows):
@@ -366,15 +354,6 @@ def _dp_values_batch(instance: AuctionInstance, orders: np.ndarray) -> np.ndarra
         block = np.ascontiguousarray(orders[start : start + rows].T)
         values[start : start + rows] = _dp_top(wv_all[block], cont_all[block], lam)
     return values
-
-
-def _best_order(instance: AuctionInstance, order_mat: np.ndarray, values: np.ndarray) -> SortedDpResult:
-    """The result at the first order of maximal value (argmax keeps the
-    lowest index on ties), replayed over its full table."""
-    best = int(np.argmax(values))
-    value, chosen = _sorted_indices(instance, order_mat[best])
-    alloc = Allocation(tuple(instance.id_array[chosen].tolist()))
-    return SortedDpResult(value=value, alloc=alloc, order_index=best)
 
 
 def multi_order_approx(
@@ -406,80 +385,45 @@ def multi_order_approx(
         order_mat = np.vstack([order_mat, *named])
     if not len(order_mat):
         raise NoOrdersError("no orders to evaluate: pass order_count > 0 or extra orders")
-    return _best_order(instance, order_mat, _dp_values_batch(instance, order_mat))
+
+    values = _dp_values_batch(instance, order_mat)
+    best = int(np.argmax(values))  # argmax keeps the first (lowest) index on ties
+    value, chosen = _sorted_indices(instance, order_mat[best])
+    alloc = Allocation(tuple(instance.id_array[chosen].tolist()))
+    return SortedDpResult(value=value, alloc=alloc, order_index=best)
 
 
 def _leave_one_out_values(
     instance: AuctionInstance, order_count: int | None = None, seed: int = 0
 ) -> np.ndarray:
-    """Value of multi_order_approx without each ad, for every ad at once (see _leave_one_out)."""
-    return _leave_one_out(instance, order_count, seed, reported=False)[1]
+    """Value of multi_order_approx without each ad, for every ad at once.
 
-
-def _pricing(
-    instance: AuctionInstance, order_count: int | None = None, seed: int = 0
-) -> tuple[SortedDpResult, np.ndarray]:
-    """``multi_order_approx(instance, order_count, seed, include_natural=False)``
-    and ``_leave_one_out_values(instance, order_count, seed)``, equal to
-    them by repr.  Below K = n the reported orders run in the
-    _dp_values_batch calls of the leave-one-out orders (see
-    _leave_one_out).  At K = n every leave-one-out instance loses a slot:
-    its orders run on fewer factors than the reported ones and cannot
-    share a call, so the two calls stay, as they do for a count that
-    multi_order_approx rejects, which then raises its own error."""
-    if instance.num_slots == instance.num_ads or (order_count is not None and order_count <= 0):
-        reported = multi_order_approx(instance, order_count, seed, include_natural=False)
-        return reported, _leave_one_out_values(instance, order_count, seed)
-    return _leave_one_out(instance, order_count, seed, reported=True)
-
-
-def _leave_one_out(
-    instance: AuctionInstance, order_count: int | None, seed: int, reported: bool
-) -> tuple[SortedDpResult | None, np.ndarray]:
-    """The value of multi_order_approx without each ad, for every ad at once,
-    and, if ``reported`` (which needs K < n), its result on the instance.
-
-    Entry j of the values equals ``multi_order_approx(reduced, order_count,
-    seed, include_natural=False).value`` by repr, where ``reduced`` drops
-    the ad at index j (see model._leave_one_out_context); it is 0.0 when no
-    ad remains.  Row t of ``_random_orders(n-1, T, seed)`` lists the
-    reduced instance's ad indices; adding 1 to those at or past j maps
-    them onto this instance, so every row reads the same ads in the same
-    order.  Each row then gets an empty last position, index n, which
-    _dp_values_batch reads as value 0 and continuation 0: its takes are 0,
-    and the last real ad's take, which read the 0 past the end before and
-    reads the empty position's best of 0 now, is its wv, a number >= 0
-    that is never NaN, so no maximum moves and the kernel gives the same
-    floats in this batch.  A value is its orders' maximum, never NaN
-    (the NaN rule of the module docstring).  The reported orders,
-    ``_random_orders(n, T, seed)``, are one more set of rows in the same
-    calls; the winner is picked and replayed by _best_order, as
-    multi_order_approx does.  The orders of several j's are stacked per
-    call, at most about _BATCH_BLOCK entries of them.
+    Entry j equals ``multi_order_approx(reduced, order_count, seed,
+    include_natural=False).value`` by repr, where ``reduced`` drops the
+    ad at index j (see model._leave_one_out_context); it is 0.0 when no ad
+    remains.  Row t of ``_random_orders(n-1, T, seed)`` lists the reduced
+    instance's ad indices; adding 1 to those at or past j maps them onto
+    this instance, so every row reads the same ads in the same order and
+    the kernel gives the same floats in this batch.  The value is taken at
+    the first maximal row, as multi_order_approx's argmax does.  The
+    orders of several j's are stacked per call, at most about
+    _BATCH_BLOCK entries of them.
     """
     seed = operator.index(seed)
     n = instance.num_ads
     if n == 1:
-        return None, np.zeros(1)
+        return np.zeros(1)
     context = _leave_one_out_context(instance)
     if order_count is None:
         order_count = 2 * context.num_slots**3
     if order_count <= 0:
         raise NoOrdersError("order_count must be > 0")
     base = _random_orders(n - 1, order_count, seed)
-    # the empty position is index n-1 of the reduced instance, which the shift maps to n
-    padded = np.concatenate((base, np.full((order_count, 1), n - 1)), axis=1)
-    sets = n + reported
-    group = max(1, _BATCH_BLOCK // (order_count * n))
+    group = max(1, _BATCH_BLOCK // base.size)
     values = np.empty(n)
-    for start in range(0, sets, group):
-        stop = min(start + group, sets)
-        drop = np.arange(start, min(stop, n))
-        orders = np.empty((stop - start, order_count, n), dtype=np.int64)  # (sets, T, n)
-        np.add(padded, padded >= drop[:, None, None], out=orders[: len(drop)])
-        if stop > n:
-            orders[-1] = _random_orders(n, order_count, seed)
-        batch = _dp_values_batch(context, orders.reshape(-1, n)).reshape(stop - start, -1)
-        values[drop] = batch[: len(drop)].max(axis=1)
-    result = _best_order(instance, orders[-1], batch[-1]) if reported else None
-    return result, values
+    for start in range(0, n, group):
+        drop = np.arange(start, min(start + group, n))
+        orders = base + (base >= drop[:, None, None])  # (group, T, n-1)
+        batch = _dp_values_batch(context, orders.reshape(-1, n - 1)).reshape(len(drop), -1)
+        values[drop] = batch[np.arange(len(drop)), batch.argmax(axis=1)]
+    return values

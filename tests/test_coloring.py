@@ -350,6 +350,19 @@ def test_colored_ads_names_all_nan_passes():
     assert issubclass(NaNPassesError, AuctionError)
 
 
+def test_colored_pass_names_a_nan_pass():
+    # no ad reproduces a NaN memo entry, so the replay has no slot to fill;
+    # on the first instance a replay that kept the last ad cycled 15 -> 7 -> 15
+    cycling = AuctionInstance(
+        [Ad(i, 1.5e308, 1.0, 1.0) for i in range(1, 5)], SlotLadder.from_factors([1.0, 0.0, 1.0, 0.0])
+    )
+    _, second = nan_pass_instances()
+    for inst, coloring in ((cycling, (1, 2, 3, 4)), (second, tuple(_seeded_block(4, 3, 2048, 0, 0, 1)[0]))):
+        assert math.isnan(_pass_memo(inst, np.array([coloring]))[-1, 0])
+        with pytest.raises(NaNPassesError, match=r"has the value nan"):
+            colored_pass(inst, coloring)
+
+
 def _golden_instance(name):
     if name == "one-slot":
         return generate_instance(GeneratorConfig(num_ads=6, num_slots=1, seed=8))

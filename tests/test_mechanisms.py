@@ -534,60 +534,37 @@ def test_vcg_apdc_exact_sets_up_one_search_per_outcome(monkeypatch, n, k):
     assert calls == {"decouple_bounds": 1, "_dominance_matrix": 1}
 
 
-@pytest.mark.parametrize("n,k,kwargs,calls", [
-    (5, 3, {}, 1), (4, 1, {}, 1), (6, 5, {}, 1), (8, 4, {}, 1),
+@pytest.mark.parametrize("n,k,iterations,calls", [
+    (5, 3, None, 1), (4, 1, None, 1), (6, 5, None, 1), (8, 4, None, 1),
     # K = n: each leave-one-out instance loses a slot, so two calls stay
-    (3, 3, {}, 2), (6, 6, {}, 2), (1, 1, {}, 1),
+    (3, 3, None, 2), (6, 6, None, 2), (1, 1, None, 1),
     # several memory groups: one call per group
-    (150, 3, {"iterations": 12, "order_count": 8}, None),
+    (150, 3, 12, None),
 ])
-@pytest.mark.parametrize("allocator", ["colored", "sorted"])
-def test_vcg_apdc_approximate_runs_one_kernel_call_per_group(monkeypatch, allocator, n, k, kwargs, calls):
-    # below K = n the reported passes or orders ride in the kernel calls of
-    # the leave-one-out ones, one per batch and memory group
-    module, name = (coloring, "_pass_memo") if allocator == "colored" else (sorted_dp, "_dp_values_batch")
+def test_vcg_apdc_colored_runs_one_kernel_call_per_group(monkeypatch, n, k, iterations, calls):
+    # below K = n the reported passes ride in the kernel calls of the
+    # leave-one-out ones, one per batch and memory group
     seen = []
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: seen.append(args[1].shape) or real(*args))
+    real = coloring._pass_memo
+    monkeypatch.setattr(coloring, "_pass_memo", lambda *args: seen.append(args[1].shape) or real(*args))
     inst = generate_instance(GeneratorConfig(num_ads=n, num_slots=k, seed=3))
-    kwargs = {key: v for key, v in kwargs.items() if key == ("iterations" if allocator == "colored" else "order_count")}
-    out = vcg_apdc_outcome(inst, truthful_profile(inst), allocator=allocator, seed=2, **kwargs)
+    out = vcg_apdc_outcome(inst, truthful_profile(inst), allocator="colored", seed=2, iterations=iterations)
     assert len(out.payments) == n
     if calls is None:
-        take = kwargs.get("iterations") or kwargs.get("order_count")
-        group = coloring._leave_one_out_group(n, k, take) if allocator == "colored" else sorted_dp._BATCH_BLOCK // (take * n)
-        calls = -(-(n + 1) // group)
+        calls = -(-(n + 1) // coloring._leave_one_out_group(n, k, iterations))
         assert calls > 1
     assert len(seen) == calls, seen
 
 
-def _separate_pricing(reported, allocator, seed, kwargs):
-    if allocator == "colored":
-        res = colored_ads(reported, seed=seed, **kwargs)
-    else:
-        res = multi_order_approx(reported, seed=seed, include_natural=False, **kwargs)
-    module = coloring if allocator == "colored" else sorted_dp
-    return repr(res), repr(module._leave_one_out_values(reported, seed=seed, **kwargs).tolist())
-
-
-def _one_call_pricing(reported, allocator, seed, kwargs):
-    module = coloring if allocator == "colored" else sorted_dp
-    res, values = module._pricing(reported, seed=seed, **kwargs)
-    return repr(res), repr(values.tolist())
-
-
-@pytest.mark.parametrize("allocator", ["colored", "sorted"])
-def test_one_call_pricing_matches_separate_calls(allocator):
+def test_colored_one_call_pricing_matches_separate_calls():
     # every K <= n <= 8, several batches (chunk=5), and overflow to inf
     cases = [(_loo_reported(n, k, trial=n * 13 + k), n + k) for n in range(1, 9) for k in range(1, n + 1)]
     cases.append((overflow_instance(), 1))
-    if allocator == "sorted":
-        cases += [(inst, 1) for inst in nan_pass_instances()]
     for reported, seed in cases:
-        runs = [{"iterations": 12}, {"iterations": 12, "chunk": 5}, {}] if allocator == "colored" else [{"order_count": 8}, {}]
-        for kwargs in runs:
-            want = _separate_pricing(reported, allocator, seed, kwargs)
-            assert _one_call_pricing(reported, allocator, seed, kwargs) == want, (reported, kwargs)
+        for kwargs in ({"iterations": 12}, {"iterations": 12, "chunk": 5}, {}):
+            res, values = coloring._pricing(reported, seed=seed, **kwargs)
+            want = colored_ads(reported, seed=seed, **kwargs), coloring._leave_one_out_values(reported, seed=seed, **kwargs)
+            assert (repr(res), repr(values.tolist())) == (repr(want[0]), repr(want[1].tolist())), (reported, kwargs)
 
 
 def test_colored_pricing_names_nan_passes():
@@ -611,8 +588,8 @@ def test_colored_pricing_names_nan_passes():
     ("sorted", {"order_count": -2}, "order_count must be >= 0"),
 ])
 def test_vcg_apdc_approximate_count_errors_are_the_allocators(allocator, kwargs, message):
-    # below K = n a count the allocator rejects still reaches the allocator,
-    # so the outcome raises the same error as a separate call would
+    # below K = n a count the allocator rejects raises the same error in the
+    # outcome as in a separate allocator call
     inst = generate_instance(GeneratorConfig(num_ads=5, num_slots=3, seed=3))
     error = coloring.NoColoringsError if allocator == "colored" else sorted_dp.NoOrdersError
     with pytest.raises(error, match=message):
