@@ -2,16 +2,14 @@
 
 Slots are filled top-down; a partial allocation is scored incrementally and
 extended only while an admissible bound on the remaining slots can still
-beat the incumbent.  Two prunings keep the tree small without losing any
+reach the incumbent.  Two prunings keep the tree small without losing any
 optimum: the per-slot decoupling bound, and a pairwise-dominance constraint
 (an ad may only be placed once all ads dominating it are already placed;
 every optimal allocation can be rewritten to satisfy this).
 
-Ties are broken toward the lexicographically smallest ad-id sequence.  For
-small instances a single pass in id order yields that directly; larger ones
-run a value-finding pass with a heuristic child order first and then a
-second lexicographic pass that stops at the first allocation matching the
-optimum.
+Ties are broken toward the lexicographically smallest ad-id sequence: one
+depth-first pass in id order, started from an incumbent where there is one,
+returns the first optimal leaf it meets (``_ExactSearch`` says why).
 
 The bounds, masks and orders are set up once per instance
 (``_ExactSearch``); the same set-up also solves the instance without any
@@ -27,19 +25,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import (
-    Allocation,
-    AuctionInstance,
-    InstanceTooLargeError,
-    social_welfare,
-)
+from .model import Allocation, AuctionInstance, InstanceTooLargeError, social_welfare
 from .prune import _dominance_matrix, _min_params, decouple_bounds
-from .sorted_dp import _density_order
+from .sorted_dp import _density_order, _sorted_indices
 
 __all__ = ["OracleResult", "enumerate_all", "solve_exact"]
 
 _ENUMERATION_CAP = 10
-_SINGLE_PASS_CAP = 14
+_SELF_SEED_CAP = 14  # above this many ads the search seeds its incumbent with the sorted DP
 _UNBUDGETED_CAP = 20  # ads of the instance searched (for VCG, the reported one) allowed without a budget
 
 
@@ -89,8 +82,26 @@ class _ExactSearch:
     value-density order.  ``solve()`` searches the instance;
     ``solve(drop=j)`` searches it without ad j by starting with j's bit
     already set in ``used``, so j is never placed and never blocks the ads
-    it dominates.  Exact VCG pricing sets up one search and runs every
-    winner's leave-one-out solve on it.
+    it dominates; its ``warm_start`` must not hold j.  Exact VCG pricing
+    sets up one search and runs every winner's leave-one-out solve on it.
+
+    The search is one depth-first pass in id order from an incumbent
+    ``best``, the better of a caller's ``warm_start`` and, above 14 ads
+    (not counting ``drop``), the sorted DP's allocation in value-density
+    order.  It prunes a node whose bound is below ``best``, or equal to it
+    once the pass has recorded a leaf; it records a leaf that beats
+    ``best``, or ties it while none is recorded.  So it returns the first
+    optimal leaf in id order, the lexicographically smallest optimal id
+    sequence: with V the optimum, no node above that leaf has a bound
+    below V (the bound is admissible) or below ``best`` (never above V),
+    and none is pruned on a tie, as no leaf of value V is recorded before
+    it.  No later leaf beats it, and a tie no longer replaces it.
+    Incumbents are scored by ``social_welfare``, which sums in the
+    search's float order, so a leaf equal to one reads the same float;
+    equal outputs rest on that.  With no incumbent, ``best`` is -inf
+    until the first leaf and the pass keeps a leaf only on a strict
+    ``>``.  An exhausted budget returns the incumbent with
+    ``complete=False``: above 14 ads, at least the sorted DP's allocation.
 
     Why ``solve(drop=j)`` gives the value a search set up on the instance
     without j gives: it fills min(K, n-1) slots, as that search does, and
@@ -102,13 +113,13 @@ class _ExactSearch:
     fixed lambda the margin is monotone in B, in floats too), so the masks
     here are a subset of that search's: no leaf it reaches is excluded
     here.  The bounds here are no smaller (more ads and factors), so they
-    stay admissible and only prune less.  The search runs in id order and
-    keeps a leaf only on a strict ``>``, so it returns the first maximal
-    leaf; its value is the optimum, which the dominance constraint never
-    removes, and ``social_welfare`` scores it on this instance to the same
-    float as on the smaller one.  Only ``nodes_explored`` may differ, so a
-    node budget can run out at a different count.  With one ad the rerun
-    reaches the empty leaf, value 0.0.
+    stay admissible and only prune less.  The pass returns the first
+    optimal leaf in id order; its value is the optimum, which the
+    dominance constraint never removes, and ``social_welfare`` scores it
+    on this instance to the same float as on the smaller one.  Only
+    ``nodes_explored`` may differ, so a node budget can run out at a
+    different count.  With one ad the rerun reaches the empty leaf, value
+    0.0.
     """
 
     def __init__(self, instance: AuctionInstance, budget: int | None = None) -> None:
@@ -126,13 +137,14 @@ class _ExactSearch:
         self.by_id = sorted(range(instance.num_ads), key=instance.ids.__getitem__)
 
     @cached_property
-    def by_density(self) -> list[int]:
-        return _density_order(self.instance, 1.0).tolist()
+    def by_density(self) -> np.ndarray:
+        return _density_order(self.instance, 1.0)
 
     def solve(self, drop: int | None = None, warm_start: Sequence[int] | None = None) -> OracleResult:
         """Optimal allocation of the instance, without ad ``drop`` if given (see ``solve_exact``)."""
         instance, budget = self.instance, self.budget
-        wv, cont, prom, ub, dominator_mask = self.wv, self.cont, self.prom, self.ub, self.dominator_mask
+        wv, cont, prom, ub, dominator_mask, by_id = (
+            self.wv, self.cont, self.prom, self.ub, self.dominator_mask, self.by_id)
         n = instance.num_ads
         k = instance.num_slots
         used0 = 0
@@ -142,70 +154,47 @@ class _ExactSearch:
             n -= 1
             k = min(k, n)
 
-        best_value = float("-inf")
-        best_seq: list[int] | None = None
-        if warm_start is not None:
-            # social_welfare rejects an unknown id, a repeat or too many ads
-            best_value = social_welfare(instance, Allocation(tuple(warm_start)))
-            best_seq = instance.indices(warm_start)
+        seeds = [] if warm_start is None else [tuple(warm_start)]
+        if n > _SELF_SEED_CAP:
+            density = self.by_density if drop is None else self.by_density[self.by_density != j]
+            seeds.append(tuple(instance.id_array[_sorted_indices(instance, density)[1]].tolist()))
+        best_value, best_seq = float("-inf"), None
+        for slots in seeds:
+            # an unknown id, a repeat or too many ads is an InvalidAllocationError here
+            value = social_welfare(instance, Allocation(slots))
+            if value > best_value:
+                best_value, best_seq = value, instance.indices(slots)
 
         nodes = 0
         exhausted = False
+        found = False  # a leaf of the search itself is recorded
+        path: list[int] = []
 
-        def search(order: list[int], target: float | None) -> list[int] | None:
-            """DFS over dominance-consistent sequences.
+        def rec(depth: int, used: int, value: float, cprod: float) -> None:
+            nonlocal best_value, best_seq, nodes, exhausted, found
+            if depth == k:
+                if value >= best_value and (value > best_value or not found):
+                    best_value, best_seq, found = value, path.copy(), True
+                return
+            slot_weight = prom[depth] * cprod
+            bound = value + slot_weight * ub[depth]
+            if bound <= best_value and (bound < best_value or found):
+                return
+            for i in by_id:
+                bit = 1 << i
+                if used & bit or (dominator_mask[i] & ~used):
+                    continue
+                if budget is not None and nodes >= budget:
+                    exhausted = True
+                    return
+                nodes += 1
+                path.append(i)
+                rec(depth + 1, used | bit, value + wv[i] * slot_weight, cprod * cont[i])
+                path.pop()
+                if exhausted:
+                    return
 
-            Without a ``target`` this is the value search: the bound prunes on
-            <= incumbent.  With one, the bound prunes on < target and the
-            first full allocation hitting it exactly is returned
-            (lexicographic search).
-            """
-            nonlocal best_value, best_seq, nodes, exhausted
-            path: list[int] = []
-
-            def rec(depth: int, used: int, value: float, cprod: float) -> list[int] | None:
-                nonlocal best_value, best_seq, nodes, exhausted
-                if depth == k:
-                    if target is None:
-                        if value > best_value:
-                            best_value = value
-                            best_seq = path.copy()
-                        return None
-                    return path.copy() if value == target else None
-                slot_weight = prom[depth] * cprod
-                bound = value + slot_weight * ub[depth]
-                if target is None:
-                    if bound <= best_value:
-                        return None
-                elif bound < target:
-                    return None
-                for i in order:
-                    bit = 1 << i
-                    if used & bit or (dominator_mask[i] & ~used):
-                        continue
-                    if budget is not None and nodes >= budget:
-                        exhausted = True
-                        return None
-                    nodes += 1
-                    path.append(i)
-                    hit = rec(depth + 1, used | bit, value + wv[i] * slot_weight, cprod * cont[i])
-                    path.pop()
-                    if hit is not None:
-                        return hit
-                    if exhausted:
-                        return None
-                return None
-
-            return rec(0, used0, 0.0, 1.0)
-
-        if n <= _SINGLE_PASS_CAP and warm_start is None:
-            search(self.by_id, target=None)
-        else:
-            search(self.by_density, target=None)
-            if not exhausted and best_seq is not None:
-                hit = search(self.by_id, target=best_value)
-                if hit is not None:
-                    best_seq = hit
+        rec(0, used0, 0.0, 1.0)
 
         if best_seq is None:
             return OracleResult(Allocation(()), 0.0, nodes, complete=False)
@@ -226,6 +215,10 @@ def solve_exact(
     rejected rather than silently running for hours.  ``warm_start``
     (an allocation's id sequence) seeds the incumbent; its value is
     recomputed here so the bound arithmetic stays consistent, and an
-    unknown id raises InvalidAllocationError.
+    unknown id raises InvalidAllocationError.  Above 14 ads the sorted
+    DP seeds one too.  Whatever the incumbent, one pass in id order
+    returns the lexicographically smallest optimal id sequence
+    (``_ExactSearch``); out of budget, it returns the incumbent with
+    ``complete=False``.
     """
     return _ExactSearch(instance, budget).solve(warm_start=warm_start)

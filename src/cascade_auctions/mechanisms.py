@@ -304,14 +304,15 @@ def vcg_apdc_outcome(
 
 
 def _exact_pricing(reported: AuctionInstance, budget: int | None) -> tuple[Allocation, dict[int, float]]:
-    """The exact optimum of ``reported`` and, per winner, the optimum without it, on one search set-up."""
+    """The exact optimum of ``reported`` and, per winner, the optimum without it, on one search set-up;
+    each winner's rerun starts from the optimum minus that winner."""
     search = _ExactSearch(reported, budget)
     res = search.solve()
     if not res.complete:
         raise IncompleteSolveError(reported.ids, budget)
     best_without = {}
     for aid in res.best_alloc.slots:
-        rerun = search.solve(drop=aid)
+        rerun = search.solve(drop=aid, warm_start=[a for a in res.best_alloc.slots if a != aid])
         if not rerun.complete:
             raise IncompleteSolveError([a for a in reported.ids if a != aid], budget)
         best_without[aid] = rerun.best_value

@@ -367,7 +367,8 @@ def ctr(instance: AuctionInstance, alloc: Allocation, ad_id: int) -> float:
 
 
 def social_welfare(instance: AuctionInstance, alloc: Allocation) -> float:
-    """Expected welfare of an allocation: sum of weighted value times CTR weight."""
+    """Expected welfare of an allocation: sum of weighted value times CTR weight.
+    Summed in the exact search's float order, which its tie rule needs (``exact._ExactSearch``)."""
     prom = instance.ladder.prominences
     _, _, cont, wv = instance._lists
     index = instance._index

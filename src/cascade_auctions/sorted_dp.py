@@ -9,8 +9,8 @@ the value-density order is exactly optimal when all slot factors are 1.
 The value-density order at a factor lambda lists ads by descending
 wv / (1 - lambda * c), ads with no positive denominator first, ties by
 ascending id.  One kernel, _density_order, serves natural_order, the
-natural row of multi_order_approx and exact's value pass (lambda = 1), and
-the constant-lambda prune bound (lambda_max).
+natural row of multi_order_approx, the order of exact's sorted incumbent
+(lambda = 1) and the constant-lambda prune bound (lambda_max).
 
 One recurrence, in two helpers, serves every caller.  best_s[i], the best
 value of ads i.. in slots s..K with the prominence at slot s taken as 1,

@@ -174,10 +174,10 @@ def test_mech_vcg_apdc_exact_budget(tmp_path, capsys):
 
 def test_mech_vcg_apdc_exhausted_budget_fails(tmp_path, capsys):
     _, argv = write_thirty_ad_auction(tmp_path)
-    code, out, err = run_cli(capsys, *argv, "--budget", "100")
+    code, out, err = run_cli(capsys, *argv, "--budget", "50")
     assert code == 1
     assert out == ""
-    assert "exhausted its node budget of 100" in err
+    assert "exhausted its node budget of 50" in err
 
 
 def test_mech_rejects_incomplete_bids(tmp_path, capsys):

@@ -64,8 +64,14 @@ def test_solve_exact_hand_instance():
     assert 0 < res.nodes_explored <= 4
 
 
-def test_solve_exact_breaks_ties_lexicographically():
-    res = solve_exact(blocker_tie_instance())
+@pytest.mark.parametrize("extra,warm_start", [
+    (0, None), (0, (3, 2)), (0, (3, 1)), (12, None), (12, (3, 2)),
+], ids=["cold", "warm-3-2", "warm-3-1", "padded", "padded-warm-3-2"])
+def test_solve_exact_breaks_ties_lexicographically(extra, warm_start):
+    # the warm starts tie the optimum but are not the lex-first one; at 15
+    # ads the search also seeds its own incumbent
+    inst = padded_instance(blocker_tie_instance(), extra) if extra else blocker_tie_instance()
+    res = solve_exact(inst, warm_start=warm_start)
     assert res.best_alloc.slots == (2, 1)
     assert res.best_value == 2.0
 
@@ -119,7 +125,7 @@ def test_dominator_masks_match_bit_loop(n):
 
 
 def test_solve_exact_two_phase_path_matches_small_oracle():
-    # 15 ads forces the heuristic-then-lexicographic pass structure; the
+    # 15 ads make the search seed its own incumbent with the sorted DP; the
     # nine worthless ads cannot improve anything, so the answer must equal
     # the brute result on the six real ads.
     base = generate_instance(GeneratorConfig(num_ads=6, num_slots=3, seed=3))

@@ -17,6 +17,7 @@ from cascade_auctions import (
     SlotLadder,
     gsp_outcome,
     is_nash,
+    prune_instance,
     social_welfare,
     solve_exact,
     truthful_profile,
@@ -430,7 +431,7 @@ def test_vcg_apdc_incomplete_exact_solve_is_an_error():
     assert "budget of 10" in str(info.value)
     # enough for the reported instance, not for a leave-one-out rerun
     with pytest.raises(IncompleteSolveError) as info:
-        vcg_apdc_outcome(inst, bids, budget=100)
+        vcg_apdc_outcome(inst, bids, budget=50)
     assert len(info.value.ad_ids) == inst.num_ads - 1
     # a budget that suffices prices all 30 ads, past the 20-ad cap
     out = vcg_apdc_outcome(inst, bids, budget=100_000)
@@ -508,6 +509,17 @@ def test_vcg_apdc_exact_matches_per_winner_reruns_on_hand_ladders(fields, factor
 def test_vcg_apdc_exact_matches_per_winner_reruns_under_a_budget():
     inst = generate_instance(GeneratorConfig(num_ads=30, num_slots=4, seed=1))
     _assert_exact_matches_reference(inst, truthful_profile(inst), budget=100_000)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vcg_apdc_exact_prices_1000_ad_survivors_within_a_node_budget(seed):
+    # the K+1 survivors of N=1000, K=10 (53-55 ads): the reported solve
+    # starts from the sorted DP's allocation and each rerun from the
+    # optimum minus its winner, so no solve needs 100,000 nodes
+    inst = generate_instance(GeneratorConfig(num_ads=1000, num_slots=10, seed=seed))
+    survivors, _ = prune_instance(inst, discard_threshold=11)
+    out = vcg_apdc_outcome(survivors, truthful_profile(survivors), budget=100_000)
+    assert out.alloc == solve_exact(survivors, budget=100_000).best_alloc
 
 
 def test_vcg_apdc_exact_refuses_21_ads_without_a_budget():
